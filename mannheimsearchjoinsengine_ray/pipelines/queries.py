@@ -329,16 +329,7 @@ def q_user_sessions(sf_dir: str):
     sessionizes every user (sort → per-user diff → gap flags → cumsum).
     Session membership is tie-safe (equal timestamps share a session), so
     the result matches the SQL gaps-and-islands oracle exactly."""
-    from ..functions.hashing import hash64
-
-    ds = _rp(sf_dir, "events", ["user_id", "ts"])
-    num_buckets = 32
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[["user_id", "ts"]].copy()
-        df["__bucket"] = (hash64(df["user_id"].astype(str).to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
-        return df
+    from ..stages.aggregates import bucket_map
 
     def sessions_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort") \
@@ -354,9 +345,8 @@ def q_user_sessions(sf_dir: str):
             session_end=("ts", "max"))
         return out
 
-    return ds.map_batches(bucketize, batch_format="pandas") \
-        .groupby("__bucket").map_groups(sessions_bucket, batch_format="pandas") \
-        .to_pandas()
+    return bucket_map(_rp(sf_dir, "events", ["user_id", "ts"]), "user_id", 32,
+                      sessions_bucket).to_pandas()
 
 
 def q_top_users_by_value(sf_dir: str):
@@ -2341,11 +2331,8 @@ def q_kg_values_per_subject(sf_dir: str):
     from ..stages.aggregates import two_phase_agg
 
     path = _persist_kg_raw(sf_dir, "subjects")
-    # subject cardinality is corpus-sized — final_blocks=None sizes the
-    # final reduce from measured partial bytes instead of a fixed 8
     out = two_phase_agg(rd.read_parquet(path), ["subj"],
-                        {"n_values": (None, "count")},
-                        final_blocks=None).to_pandas()
+                        {"n_values": (None, "count")}).to_pandas()
     return out.astype({"n_values": "int64"})
 
 

@@ -1,8 +1,14 @@
-"""Two-phase (map-side partial + small final) grouped aggregation.
+"""Grouped aggregation and the repo's one hash-bucket exchange.
+
+``bucket_map`` is the exchange behind every wide step (joins, dedup, CC
+star rounds, link merge, sessionizing): rows tag with
+``hash64(key) % B`` and ONE sort-based groupby over the B bucket ids hands
+each bucket to a vectorized function — key cardinality never meets Ray's
+per-group machinery, and the exchange engine is decided in one place.
 
 A bare ``groupby(key).aggregate(...)`` shuffles every row and, in this Ray
 version, carries heavy per-block/per-group overhead (measured 35s vs 0.6s on
-a 600k-row join output).  This operator computes partials per batch with
+a 600k-row join output).  ``two_phase_agg`` computes partials per batch with
 vectorized pandas, shuffles ONLY the partials, and finishes with a small
 groupby — the combiner pattern the reference implements ad hoc with
 synchronized accumulators (TableColumn.valuesInfo, JoinResult sums,
@@ -14,19 +20,105 @@ after the final merge).  Output column names are exactly the spec keys.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.hashing import hash64
+
+# per-bucket input target; B = total_bytes / this, clamped
+_TARGET_BUCKET_BYTES = 64 << 20
+_MIN_BUCKETS, _MAX_BUCKETS = 8, 65_536
 
 
-def _auto_block_count(ds, target_bytes: int = 64 << 20,
-                      lo: int = 8, hi: int = 4096) -> int:
-    """Bucket/block count from measured bytes of a MATERIALIZED dataset —
-    a fixed 8/32 caps reduce parallelism and requires each bucket to fit one
-    worker's heap at any scale."""
-    import numpy as np
+def auto_bucket_count(*datasets,
+                      target_bucket_bytes: int = _TARGET_BUCKET_BYTES) -> int:
+    """Bucket count from the measured bytes of MATERIALIZED datasets (so
+    size_bytes is metadata, not an execution) — a fixed count caps reduce
+    parallelism and requires each bucket to fit one worker's heap at any
+    scale.  Floor = cluster CPU count so small exchanges still use every
+    core; the cap keeps the reduce-task count sane."""
+    total = sum((ds.size_bytes() or 0) for ds in datasets)
+    b = 1 << int(np.ceil(np.log2(max(1.0, total / target_bucket_bytes))))
+    lo = _MIN_BUCKETS
+    try:
+        import ray
 
-    total = ds.size_bytes() or 0
-    b = 1 << int(np.ceil(np.log2(max(1.0, total / target_bytes))))
-    return int(np.clip(b, lo, hi))
+        if ray.is_initialized():
+            lo = max(lo, int(ray.cluster_resources().get("CPU", 0)))
+    except Exception:
+        pass
+    return int(np.clip(b, lo, _MAX_BUCKETS))
+
+
+def _key_text(col):
+    """A key column's string form, the same for one value in every block.
+    Arrow keeps a column's type whatever its block holds, so a cast is
+    enough.  Pandas does not: Ray hands an int column holding a null to
+    pandas as float64, and ``astype(str)`` drops a datetime's time part
+    when a whole block falls on midnight — so integral floats print as
+    ints and datetimes as their nanosecond ticks."""
+    if isinstance(col, pa.ChunkedArray):
+        return pc.cast(col.combine_chunks(), pa.string())
+    if col.dtype.kind in "mM":
+        return pd.Series(col.dt.as_unit("ns").array.asi8).astype(str)
+    text = col.astype(str)
+    if col.dtype.kind == "f":
+        whole = (np.isfinite(col) & (np.floor(col) == col)
+                 & (col.abs() < 2.0**63))
+        text[whole] = col[whole].astype("int64").astype(str)
+    return text
+
+
+def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
+               batch_format: str = "pandas"):
+    """Run ``fn`` once per hash bucket: every row whose key hashes to
+    bucket b (``hash64`` of the key's string form, list keys joined with
+    ``"\\x00"``, modulo ``num_buckets``) reaches the same ``fn`` call, which
+    gets the bucket in ``batch_format`` without the bucket column.
+
+    ``ds`` may be a list of Datasets (the sides of a join): each side is
+    tagged separately and the tagged sides are unioned, so the tag map fuses
+    into each side's last map and both sides always hash the same way.  The
+    tag map runs in ``batch_format`` too: every tagged block then has one
+    format (Ray's sort cannot sample a mix of pandas and Arrow blocks) and
+    the buckets reach ``fn`` without another conversion.  The exchange is
+    the sort-based ``groupby().map_groups`` over the bucket ids."""
+    keys = [key] if isinstance(key, str) else list(key)
+    modulus = np.uint64(num_buckets)
+    arrow = batch_format == "pyarrow"
+
+    def add_bucket(batch):
+        texts = [_key_text(batch.column(k) if arrow else batch[k])
+                 for k in keys]
+        if arrow:
+            joined = pc.binary_join_element_wise(*texts, "\x00") \
+                .to_numpy(zero_copy_only=False)
+        else:
+            joined = texts[0].to_numpy()
+            for t in texts[1:]:
+                joined = joined + "\x00" + t.to_numpy()
+        bucket = (hash64(joined) % modulus).astype("int64")
+        if arrow:
+            return batch.append_column("__bucket", pa.array(bucket))
+        batch = batch.copy(deep=False)
+        batch["__bucket"] = bucket
+        return batch
+
+    def run(group):
+        return fn(group.drop_columns("__bucket") if arrow
+                  else group.drop(columns="__bucket"))
+
+    # ds.stats() names the reduce operator after this function
+    run.__name__ = getattr(fn, "__name__", "run")
+
+    sides = ds if isinstance(ds, (list, tuple)) else [ds]
+    tagged = [d.map_batches(add_bucket, batch_format=batch_format,
+                            batch_size=None) for d in sides]
+    tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return tagged.groupby("__bucket").map_groups(run,
+                                                 batch_format=batch_format)
 
 
 def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
@@ -40,15 +132,11 @@ def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
       overhead for kilobytes of distinct rows (measured on distinct_mentions:
       2.5 s → 0.1 s for 1000 distinct strings).  First row per key in global
       block order wins — the same first-wins contract as the bucket path.
-    * above it: bucket = hash(key) % B → groupby(bucket).map_groups
-      (drop_duplicates).  B groups regardless of key cardinality — the
-      per-group overhead of a high-cardinality groupby never appears.
+    * above it: ``bucket_map`` by key, drop_duplicates per bucket.  B
+      groups regardless of key cardinality — the per-group overhead of a
+      high-cardinality groupby never appears.
       ``num_buckets=None`` derives B from the measured bytes."""
-    import numpy as np
-
     import ray.data as rd
-
-    from ..functions.hashing import hash64
 
     if driver_final_bytes is None:
         driver_final_bytes = DRIVER_FINAL_BYTES
@@ -71,25 +159,15 @@ def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
         return rd.from_pandas(
             [c.reset_index(drop=True) for c in np.array_split(out, n)])
     if num_buckets is None:
-        num_buckets = _auto_block_count(deduped)
-
-    def local(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(key)
-        df["__bucket"] = (hash64(df[key].astype(str).to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
-        return df
-
-    return deduped.map_batches(local, batch_format="pandas") \
-        .groupby("__bucket") \
-        .map_groups(lambda g: g.drop_duplicates(key).drop(columns="__bucket"),
-                    batch_format="pandas")
+        num_buckets = auto_bucket_count(deduped)
+    return bucket_map(deduped, key, num_buckets,
+                      lambda g: g.drop_duplicates(key))
 
 
 DRIVER_FINAL_BYTES = 32 << 20
 
 
 def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
-                  final_blocks: int | None = 8,
                   driver_final_bytes: int = DRIVER_FINAL_BYTES):
     """spec: output_name -> (input_column | None, fn); fn ∈ {sum,count,min,max,mean}.
 
@@ -101,12 +179,11 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
     merge happens ON THE DRIVER in one pandas groupby — a repartition + sort
     shuffle for kilobytes of partials costs ~2 s of fixed task overhead per
     query at any cluster size.  Above the guard (corpus-cardinality keys)
-    the partials bucket by key hash into ``final_blocks`` groups and each
-    bucket merges with ONE vectorized pandas groupby — key cardinality
-    never meets Ray's per-group machinery (a bare groupby(keys).aggregate
-    measured 508 s where the bucket final takes ~8 s on a 6M-row/2M-key
-    posting set).  Pass ``final_blocks=None`` to derive the bucket count
-    from measured partial bytes.
+    the partials ``bucket_map`` by key into a bucket count sized from the
+    measured partial bytes, and each bucket merges with ONE vectorized
+    pandas groupby — key cardinality never meets Ray's per-group machinery
+    (a bare groupby(keys).aggregate measured 508 s where the bucket final
+    takes ~8 s on a 6M-row/2M-key posting set).
     """
     sum_cols: dict[str, str] = {}
     min_cols: dict[str, str] = {}
@@ -180,21 +257,5 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
     # df at 16 cpus).  Bucket the partials by key hash instead — B groups
     # regardless of key cardinality, one vectorized pandas merge per bucket
     # (the dedupe_by_key shape; same data, 8 s).
-    import numpy as np
-
-    from ..functions.hashing import hash64
-
-    num_buckets = final_blocks if final_blocks else _auto_block_count(partials)
-
-    def add_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
-        joined = pdf[keys[0]].astype(str)
-        for k in keys[1:]:
-            joined = joined + "\x00" + pdf[k].astype(str)
-        pdf["__bucket"] = (hash64(joined.to_numpy())
-                           % np.uint64(num_buckets)).astype("int64")
-        return pdf
-
-    return partials.map_batches(add_bucket, batch_format="pandas") \
-        .groupby("__bucket") \
-        .map_groups(lambda g: merge_partials(g.drop(columns="__bucket")),
-                    batch_format="pandas")
+    return bucket_map(partials, keys, auto_bucket_count(partials),
+                      merge_partials)

@@ -33,6 +33,7 @@ from ..config import DEFAULT_CONFIG, PipelineConfig, StringResolution, NumericRe
 from ..functions.hashing import MinHasher, band_keys, hash64
 from ..functions.normalize import tokenize_string
 from ..functions.similarity import jaccard
+from .aggregates import auto_bucket_count, bucket_map
 
 # ---------------------------------------------------------------------------
 # 1. MinHash-LSH blocking
@@ -137,7 +138,7 @@ def candidate_pairs(blocked_ds, max_block: int = 50, bloom_bits: int = 1 << 22):
     pairs, so the result stays exact."""
     import ray
 
-    from ..functions.hashing import bloom_contains, bloom_partial, hash64
+    from ..functions.hashing import bloom_contains, bloom_partial
 
     blocked_ds = blocked_ds.materialize()
 
@@ -146,23 +147,19 @@ def candidate_pairs(blocked_ds, max_block: int = 50, bloom_bits: int = 1 << 22):
                 + df["band_hash"].astype(str)).to_numpy()
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["band_idx", "band_hash"], sort=False).size()
-        out = g.rename("n").reset_index()
-        out["__bucket"] = (
-            (out["band_hash"].to_numpy().astype(np.uint64)
-             ^ hash64(out["band_idx"].astype(str).to_numpy()))
-            % np.uint64(16)).astype("int64")
-        return out
+        n = df.groupby(["band_idx", "band_hash"], sort=False).size()
+        out = n.rename("n").reset_index()
+        return pd.DataFrame({"band_key": _band_keys(out), "n": out["n"]})
 
     def hot_bloom(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby(["band_idx", "band_hash"], sort=False)["n"].sum()
-        hot = tot[tot >= 2].reset_index()
-        bits = bloom_partial(_band_keys(hot), num_bits=bloom_bits)
+        tot = g.groupby("band_key", sort=False)["n"].sum()
+        hot = tot.index[tot >= 2].to_numpy()
+        bits = bloom_partial(hot, num_bits=bloom_bits)
         return pd.DataFrame({"bloom": [bits.tobytes()], "n_hot": [len(hot)]})
 
-    parts = blocked_ds.map_batches(partial_counts, batch_format="pandas") \
-        .groupby("__bucket").map_groups(hot_bloom, batch_format="pandas") \
-        .to_pandas()
+    parts = bucket_map(
+        blocked_ds.map_batches(partial_counts, batch_format="pandas"),
+        "band_key", 16, hot_bloom).to_pandas()
     if parts.empty or int(parts["n_hot"].sum()) == 0:
         return blocked_ds.limit(0).map_batches(
             lambda g: _pairs_from_group(g, max_block), batch_format="pandas")
@@ -177,10 +174,8 @@ def candidate_pairs(blocked_ds, max_block: int = 50, bloom_bits: int = 1 << 22):
 
     # exchange width derived from the MEASURED hot-band bytes (a fixed 8
     # capped the pair-producing reduce stage at any scale)
-    from .aggregates import _auto_block_count
-
     hot = blocked_ds.map_batches(semi, batch_format="pandas").materialize()
-    return hot.repartition(_auto_block_count(hot)) \
+    return hot.repartition(auto_bucket_count(hot)) \
         .groupby(["band_idx", "band_hash"]) \
         .map_groups(lambda g: _pairs_from_group(g, max_block),
                     batch_format="pandas")
@@ -285,20 +280,17 @@ def _star_round(edges, small: bool, num_buckets: int):
       small-star(u): m = min({v ∈ N(u): v < u} ∪ {u});
                      emit (v, m) for v ∈ N(u), v < u, plus (u, m)
 
-    Implemented as ONE bucket shuffle (hash(u) % B groups, never a
-    high-cardinality Ray groupby) with vectorized pandas transforms inside
-    each bucket.  Input/output: canonical undirected edges (a < b), deduped.
+    Implemented as ONE ``bucket_map`` by u (never a high-cardinality Ray
+    groupby) with vectorized pandas transforms inside each bucket.
+    Input/output: canonical undirected edges (a < b), deduped.
     """
 
-    def bucketize(t: pa.Table) -> pd.DataFrame:
+    def both_ends(t: pa.Table) -> pd.DataFrame:
         a = t.column("a").to_pandas()
         b = t.column("b").to_pandas()
         # group key is u — every edge appears under BOTH endpoints
-        df = pd.DataFrame({"u": pd.concat([a, b], ignore_index=True),
-                           "v": pd.concat([b, a], ignore_index=True)})
-        df["__bucket"] = (hash64(df["u"].astype(str).to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
-        return df
+        return pd.DataFrame({"u": pd.concat([a, b], ignore_index=True),
+                             "v": pd.concat([b, a], ignore_index=True)})
 
     def star(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["u", "v"])
@@ -334,8 +326,8 @@ def _star_round(edges, small: bool, num_buckets: int):
         b = out[["x", "y"]].max(axis=1)
         return pd.DataFrame({"a": a, "b": b}).drop_duplicates()
 
-    return edges.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(star, batch_format="pandas")
+    return bucket_map(edges.map_batches(both_ends, batch_format="pyarrow"),
+                      "u", num_buckets, star)
 
 
 def _edge_stats(edges) -> tuple[int, int]:
@@ -438,12 +430,6 @@ def connected_components_distributed(edges_ds, max_iterations: int = 50,
 
     # a node seen by several batches got independent local reps — those reps
     # are one component, so link them (one bucket shuffle over the mapping)
-    def bucketize_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = (hash64(df["node"].astype(str).to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
-        return df
-
     def link_shared(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["node", "rep"])
         mn = g.groupby("node", sort=False)["rep"].transform("min")
@@ -452,27 +438,29 @@ def connected_components_distributed(edges_ds, max_iterations: int = 50,
                              "b": g.loc[extra, "rep"].to_numpy()}) \
             .drop_duplicates()
 
-    link_edges = mapping.map_batches(bucketize_nodes, batch_format="pandas") \
-        .groupby("__bucket").map_groups(link_shared, batch_format="pandas")
+    link_edges = bucket_map(mapping, "node", num_buckets, link_shared)
     edges = contracted.union(link_edges).materialize()
 
     import os as _os
     debug = bool(_os.environ.get("GRAFT_CC_DEBUG"))
     n, checksum = _edge_stats(edges)
 
+    # compose rows: label rows (kind 1) carry key = rep, val = its
+    # component; probe rows (kind 0) carry key = the rep they need, val =
+    # their node — one plain key column for the exchange
     def star_labels(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({"rep": df["b"], "comp": df["a"]})
         roots = pd.DataFrame({"rep": df["a"].unique()})
         roots["comp"] = roots["rep"]
         out = pd.concat([out, roots], ignore_index=True).drop_duplicates("rep")
         out.insert(0, "kind", np.int8(1))
-        return out.rename(columns={"rep": "node", "comp": "val"})
+        return out.rename(columns={"rep": "key", "comp": "val"})
 
     if 0 < n <= driver_finish_threshold:
         # residual is guard-bounded — driver union-find, skip the rounds
         edf = edges.to_pandas()
         comp = connected_components_local(edf, left="a", right="b")
-        lab_df = pd.DataFrame({"kind": np.int8(1), "node": comp["id"],
+        lab_df = pd.DataFrame({"kind": np.int8(1), "key": comp["id"],
                                "val": comp["component"]})
         labels = rd.from_pandas(lab_df)
         if debug:
@@ -494,41 +482,29 @@ def connected_components_distributed(edges_ds, max_iterations: int = 50,
         # --- star forest labels ---
         labels = edges.map_batches(star_labels, batch_format="pandas")
     probes = mapping.map_batches(
-        lambda df: pd.DataFrame({"kind": np.int8(0), "node": df["node"],
-                                 "val": df["rep"]}),
+        lambda df: pd.DataFrame({"kind": np.int8(0), "key": df["rep"],
+                                 "val": df["node"]}),
         batch_format="pandas")
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        # label rows key on the rep they describe (their own node); probe
-        # rows key on the rep they need (their val)
-        kind = df["kind"].to_numpy()
-        key = np.where(kind == 1, df["node"].astype(str).to_numpy(),
-                       df["val"].astype(str).to_numpy())
-        df = df.copy()
-        df["__bucket"] = (hash64(key) % np.uint64(num_buckets)).astype("int64")
-        return df
-
     def compose(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g[g["kind"] == 1].drop_duplicates("node")
+        lab = g[g["kind"] == 1].drop_duplicates("key")
         pr = g[g["kind"] == 0]
         if pr.empty:
-            return pd.DataFrame({"id": pr["node"], "component": pr["val"]})
-        rep = pr["val"].to_numpy()
+            return pd.DataFrame({"id": pr["val"], "component": pr["key"]})
+        rep = pr["key"].to_numpy()
         if lab.empty:
-            return pd.DataFrame({"id": pr["node"].to_numpy(), "component": rep})
+            return pd.DataFrame({"id": pr["val"].to_numpy(), "component": rep})
         # numpy searchsorted lookup — id dtypes survive (no NaN-float detour)
-        order = np.argsort(lab["node"].to_numpy(), kind="stable")
-        keys = lab["node"].to_numpy()[order]
+        order = np.argsort(lab["key"].to_numpy(), kind="stable")
+        keys = lab["key"].to_numpy()[order]
         vals = lab["val"].to_numpy()[order]
         idx = np.searchsorted(keys, rep)
         idx_c = np.clip(idx, 0, len(keys) - 1)
         found = keys[idx_c] == rep
         comp = np.where(found, vals[idx_c], rep)
-        return pd.DataFrame({"id": pr["node"].to_numpy(), "component": comp})
+        return pd.DataFrame({"id": pr["val"].to_numpy(), "component": comp})
 
-    composed = labels.union(probes) \
-        .map_batches(bucketize, batch_format="pandas") \
-        .groupby("__bucket").map_groups(compose, batch_format="pandas")
+    composed = bucket_map([labels, probes], "key", num_buckets, compose)
     # a node seen by several batches composes once per distinct rep — all
     # agree on the component (the reps were linked), so keep the first
     from .aggregates import dedupe_by_key

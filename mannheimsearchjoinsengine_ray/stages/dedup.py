@@ -46,8 +46,7 @@ def exact_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
     hashed = docs_ds.map_batches(
         lambda t: add_content_hash(t, text_col), batch_format="pyarrow")
     return two_phase_agg(hashed.select_columns(["content_hash", id_col]),
-                         ["content_hash"], {"keep_id": (id_col, "min")},
-                         final_blocks=None)
+                         ["content_hash"], {"keep_id": (id_col, "min")})
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def duplicated_gram_hashes(docs_ds, k: int = 5, min_count: int = 2,
 
     counts = two_phase_agg(
         docs_ds.map_batches(partial, batch_format="pyarrow"),
-        ["gram_hash"], {"n": (None, "count")}, final_blocks=None)
+        ["gram_hash"], {"n": (None, "count")})
     return counts.filter(lambda r: r["n"] >= min_count)
 
 
@@ -145,7 +144,7 @@ def remove_duplicate_spans(docs_ds, k: int = 5, min_count: int = 2,
     # scale path: explode (doc, pos, gram_hash), SEMI-filter against the
     # duplicated set, co-locate each doc's dup positions with one bucket
     # exchange, then join the position lists back onto the docs
-    from ..functions.hashing import hash64
+    from .aggregates import auto_bucket_count, bucket_map
     from .joins import bucket_join, bucket_semi_join
 
     def explode(batch: pa.Table) -> pd.DataFrame:
@@ -162,25 +161,16 @@ def remove_duplicate_spans(docs_ds, k: int = 5, min_count: int = 2,
     dup_rows = bucket_semi_join(gram_rows,
                                 dup.select_columns(["gram_hash"]),
                                 "gram_hash", "gram_hash").materialize()
-    # exchange width from MEASURED surviving bytes (a fixed count would cap
-    # the per-doc collection at any scale — CLAUDE.md rule)
-    from .aggregates import _auto_block_count
-
-    n_buckets = _auto_block_count(dup_rows)
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[["__doc", "__pos"]].copy()
-        df["__bucket"] = (hash64(df["__doc"].astype(str).to_numpy())
-                          % np.uint64(n_buckets)).astype("int64")
-        return df
 
     def collect(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("__doc")["__pos"].agg(
             lambda s: ",".join(map(str, sorted(s))))
         return out.rename("__dups").rename_axis("__doc").reset_index()
 
-    per_doc = dup_rows.map_batches(bucketize, batch_format="pandas") \
-        .groupby("__bucket").map_groups(collect, batch_format="pandas")
+    # exchange width from MEASURED surviving bytes (a fixed count would cap
+    # the per-doc collection at any scale)
+    per_doc = bucket_map(dup_rows.select_columns(["__doc", "__pos"]),
+                         "__doc", auto_bucket_count(dup_rows), collect)
     joined = bucket_join(
         docs_ds.map_batches(
             lambda df: df[[id_col, text_col]], batch_format="pandas"),

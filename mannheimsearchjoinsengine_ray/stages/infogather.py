@@ -33,8 +33,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
-from ..functions.hashing import hash64
 from ..functions.normalize import clear_string
+from .aggregates import bucket_map, dedupe_by_key, two_phase_agg
 
 # driver-local PPR below this node count (the usual explicit hybrid guard)
 PPR_DRIVER_NODE_LIMIT = 500_000
@@ -113,11 +113,8 @@ def table_graph_edges(tables_ds, max_per_key: int = 20,
     values would otherwise emit a clique)."""
 
     def postings(t: pa.Table) -> pd.DataFrame:
-        df = key_value_postings_batch(t).select(["key_norm", "vt_id"]) \
+        return key_value_postings_batch(t).select(["key_norm", "vt_id"]) \
             .to_pandas().drop_duplicates()
-        df["__bucket"] = (hash64(df["key_norm"].to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
-        return df
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["key_norm", "vt_id"])
@@ -138,21 +135,15 @@ def table_graph_edges(tables_ds, max_per_key: int = 20,
         return out.groupby(["src", "dst"], sort=False).size() \
             .rename("weight").reset_index()
 
-    raw = tables_ds.map_batches(postings, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(pairs, batch_format="pandas")
+    raw = bucket_map(tables_ds.map_batches(postings, batch_format="pyarrow"),
+                     "key_norm", num_buckets, pairs)
 
     # (src, dst) is HIGH-cardinality — never a bare Ray groupby on it
     # (per-group overhead); sum weights inside constant-count buckets
-    def edge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = (hash64((df["src"] + "\0" + df["dst"]).to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
-        return df
-
-    return raw.map_batches(edge_bucket, batch_format="pandas") \
-        .groupby("__bucket").map_groups(
-            lambda g: g.groupby(["src", "dst"], sort=False)["weight"].sum()
-            .reset_index(), batch_format="pandas")
+    return bucket_map(
+        raw, ["src", "dst"], num_buckets,
+        lambda g: g.groupby(["src", "dst"], sort=False)["weight"].sum()
+        .reset_index())
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +202,6 @@ def personalized_pagerank(edges_ds, beta: dict[str, float],
     edges = edges_ds.materialize()
 
     # node count via per-batch distinct + bucket dedupe count
-    from .aggregates import dedupe_by_key
-
     def nodes_of(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"node": pd.unique(
             pd.concat([df["src"], df["dst"]], ignore_index=True))})
@@ -232,16 +221,13 @@ def personalized_pagerank(edges_ds, beta: dict[str, float],
         s = pd.concat([df[["src", "weight"]].rename(columns={"src": "node"}),
                        df[["dst", "weight"]].rename(columns={"dst": "node"})],
                       ignore_index=True)
-        g = s.groupby("node", sort=False)["weight"].sum().reset_index()
-        g["__bucket"] = (hash64(g["node"].to_numpy())
-                         % np.uint64(num_buckets)).astype("int64")
-        return g
+        return s.groupby("node", sort=False)["weight"].sum().reset_index()
 
-    outsums = edges.map_batches(outsum_partial, batch_format="pandas") \
-        .groupby("__bucket").map_groups(
-            lambda g: g.groupby("node", sort=False)["weight"].sum()
-            .rename("outsum").reset_index(),
-            batch_format="pandas").materialize()
+    outsums = bucket_map(
+        edges.map_batches(outsum_partial, batch_format="pandas"), "node",
+        num_buckets,
+        lambda g: g.groupby("node", sort=False)["weight"].sum()
+        .rename("outsum").reset_index()).materialize()
 
     from .joins import bucket_join
 
@@ -280,26 +266,18 @@ def personalized_pagerank(edges_ds, beta: dict[str, float],
             df["tsp"] = df["tsp"] + df["vt_id"].map(b).fillna(0.0) * alpha
             return df
 
-        def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__bucket"] = (hash64(df["vt_id"].astype(str).to_numpy())
-                              % np.uint64(num_buckets)).astype("int64")
-            return df
-
-        summed = contrib.map_batches(bucketize, batch_format="pandas") \
-            .groupby("__bucket").map_groups(
-                lambda g: g.groupby("vt_id", sort=False)["tsp"].sum()
-                .reset_index(), batch_format="pandas") \
-            .map_batches(add_beta, batch_format="pandas")
+        summed = bucket_map(
+            contrib, "vt_id", num_buckets,
+            lambda g: g.groupby("vt_id", sort=False)["tsp"].sum()
+            .reset_index()).map_batches(add_beta, batch_format="pandas")
         # β nodes with no in-edges this round still need their α·β mass
         seeds_only = rd.from_pandas(beta_rows()).map_batches(
             lambda df: df.assign(tsp=df["tsp"] * alpha),
             batch_format="pandas")
-        merged = summed.union(seeds_only).map_batches(bucketize,
-                                                      batch_format="pandas") \
-            .groupby("__bucket").map_groups(
-                lambda g: g.groupby("vt_id", sort=False)["tsp"].max()
-                .reset_index(), batch_format="pandas")
+        merged = bucket_map(
+            [summed, seeds_only], "vt_id", num_buckets,
+            lambda g: g.groupby("vt_id", sort=False)["tsp"].max()
+            .reset_index())
         v = merged.materialize()
     return v.map_batches(
         lambda df: pd.DataFrame({"vt_id": df["vt_id"].astype(str),
@@ -333,8 +311,6 @@ def seed_tables_dma(tables_ds, query_keys: list[str],
         g = df.groupby("vt_id", sort=False).size().rename("overlap") \
             .reset_index()
         return g
-
-    from .aggregates import two_phase_agg
 
     overlaps = two_phase_agg(
         tables_ds.map_batches(overlap_partial, batch_format="pyarrow"),
@@ -420,8 +396,6 @@ def augment_by_attribute(tables_ds, query_keys: list[str],
         g = df.groupby(["key_norm", "value"], sort=False)["score"].sum() \
             .reset_index()
         return g
-
-    from .aggregates import two_phase_agg
 
     votes = two_phase_agg(
         tables_ds.map_batches(predictions, batch_format="pyarrow"),

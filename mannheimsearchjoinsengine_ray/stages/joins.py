@@ -2,15 +2,16 @@
 large-large join).
 
 ``Dataset.join`` exists in this Ray version but its actor-based hash shuffle
-carries heavy fixed costs at moderate scale; this operator expresses the same
-exchange as ONE union + ONE groupby shuffle:
+carries heavy fixed costs at moderate scale; these operators express the same
+exchange as ONE ``aggregates.bucket_map`` call over both sides:
 
-    left  → add bucket = hash(key) % B, tag side=0
-    right → add bucket,                 tag side=1
-    union → groupby(bucket) → pandas merge inside each group
+    left  → copy the key to ``__key``, tag side=0
+    right → copy the key to ``__key``, tag side=1
+    bucket_map([left, right], "__key", B, merge inside each bucket)
 
-Partitioning assumption: both sides co-locate by ``hash(key) % B``; B sizes
-the per-task merge to worker memory.
+Partitioning assumption: both sides co-locate by ``hash(__key) % B`` (one
+``bucket_map`` call hashes both the same way); B sizes the per-task merge to
+worker memory.
 
 Auto planning (the 100×-safe default): with ``bucket_count=None`` both sides
 are materialized (the shuffle reads every row anyway) and B is derived from
@@ -50,11 +51,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import hash64
+from .aggregates import _TARGET_BUCKET_BYTES, auto_bucket_count, bucket_map
 
-# per-reduce-task merge input target; B = total_bytes / this, clamped
-_TARGET_BUCKET_BYTES = 64 << 20
-_MIN_BUCKETS, _MAX_BUCKETS = 8, 65_536
 # probe sides below this row count skip hot-key detection entirely
 _AUTO_SKEW_ROWS = 1_000_000
 _AUTO_SALT = 8
@@ -149,22 +147,8 @@ def _arrow_types(ds) -> dict[str, pa.DataType] | None:
     return {f.name: f.type for f in base}
 
 
-def _bucket_of(key: pa.ChunkedArray | pa.Array, bucket_count: int) -> pa.Array:
-    """hash64(str(key)) % B — the same key-string convention as the pandas
-    interior (both sides of one join always run the same interior, so only
-    within-join consistency matters)."""
-    import pyarrow.compute as pc
-
-    skey = pc.cast(key, pa.string())
-    if isinstance(skey, pa.ChunkedArray):
-        skey = skey.combine_chunks()
-    vals = hash64(skey.to_numpy(zero_copy_only=False))
-    return pa.array((vals % np.uint64(bucket_count)).astype("int64"))
-
-
-def _prep_arrow(ds, on: str, bucket_count: int, side: int,
-                all_cols: list[str], types: dict[str, pa.DataType],
-                key_type: pa.DataType):
+def _prep_arrow(ds, on: str, side: int, all_cols: list[str],
+                types: dict[str, pa.DataType], key_type: pa.DataType):
     """Arrow tag map: tagged block built column-by-column (``pa.nulls``
     padding for the other side's columns — no row materialization)."""
     import pyarrow.compute as pc
@@ -184,46 +168,31 @@ def _prep_arrow(ds, on: str, bucket_count: int, side: int,
                 arrays.append(col)
             else:
                 arrays.append(pa.nulls(n, type=types[c]))
-        names += ["__bucket", "__side"]
-        arrays += [_bucket_of(key, bucket_count),
-                   pa.array(np.full(n, side, dtype="int8"))]
+        names.append("__side")
+        arrays.append(pa.array(np.full(n, side, dtype="int8")))
         return pa.table(dict(zip(names, arrays)))
 
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def _auto_buckets(*datasets, target_bucket_bytes: int = _TARGET_BUCKET_BYTES) -> int:
-    """Bucket count from measured input bytes (inputs must be materialized so
-    size_bytes is metadata, not an execution).  Floor = cluster CPU count so
-    small joins still use every core; cap keeps reduce-task count sane."""
-    total = sum((ds.size_bytes() or 0) for ds in datasets)
-    b = 1 << int(np.ceil(np.log2(max(1.0, total / target_bucket_bytes))))
-    lo = _MIN_BUCKETS
-    try:
-        import ray
-
-        if ray.is_initialized():
-            lo = max(lo, int(ray.cluster_resources().get("CPU", 0)))
-    except Exception:
-        pass
-    return int(np.clip(b, lo, _MAX_BUCKETS))
+def _tag_pandas(df: pd.DataFrame, on: str, side: int,
+                all_cols: list[str]) -> pd.DataFrame:
+    """Pandas tag: ``__key`` + every column of both sides (None-padded) +
+    ``__side``."""
+    out = pd.DataFrame()
+    out["__key"] = df[on]
+    for c in all_cols:
+        if c in df.columns and c != on:
+            out[c] = df[c]
+        elif c != on:
+            out[c] = None
+    out["__side"] = np.int8(side)
+    return out
 
 
-def _prep(ds, on: str, bucket_count: int, side: int, all_cols: list[str]):
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame()
-        out["__key"] = df[on]
-        for c in all_cols:
-            if c in df.columns and c != on:
-                out[c] = df[c]
-            elif c != on:
-                out[c] = None
-        out["__bucket"] = (hash64(df[on].astype(str).to_numpy())
-                           % np.uint64(bucket_count)).astype("int64")
-        out["__side"] = np.int8(side)
-        return out
-
-    return ds.map_batches(tag, batch_format="pandas")
+def _prep(ds, on: str, side: int, all_cols: list[str]):
+    return ds.map_batches(lambda df: _tag_pandas(df, on, side, all_cols),
+                          batch_format="pandas")
 
 
 def detect_hot_keys(ds, col: str, min_count: int = 100_000,
@@ -272,8 +241,8 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
         # B from bytes, and skew-scan the probe side above the row threshold
         left_ds = left_ds.materialize()
         right_ds = right_ds.materialize()
-        bucket_count = _auto_buckets(left_ds, right_ds,
-                                     target_bucket_bytes=target_bucket_bytes)
+        bucket_count = auto_bucket_count(
+            left_ds, right_ds, target_bucket_bytes=target_bucket_bytes)
         if salt is None:
             n_left = left_ds.count()
             if n_left >= skew_threshold:
@@ -296,41 +265,19 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
 
         def prep_salted(ds, on, side):
             def tag(df: pd.DataFrame) -> pd.DataFrame:
-                hot = ray.get(hot_ref)
-                out = pd.DataFrame()
-                out["__key"] = df[on]
-                for c in all_cols:
-                    if c in df.columns and c != on:
-                        out[c] = df[c]
-                    elif c != on:
-                        out[c] = None
-                base = hash64(df[on].astype(str).to_numpy())
-                is_hot = df[on].isin(hot).to_numpy()
+                out = _tag_pandas(df, on, side, all_cols)
+                is_hot = df[on].isin(ray.get(hot_ref)).to_numpy()
                 if side == 0:
                     # spread hot probe rows by a per-row salt
-                    row_salt = (np.arange(len(df)) % salt).astype(np.uint64)
-                    sub = np.where(is_hot, row_salt, 0).astype(np.uint64)
-                    out["__bucket"] = ((base * np.uint64(salt) + sub)
-                                       % np.uint64(bucket_count * salt)) \
-                        .astype("int64")
-                    out["__side"] = np.int8(0)
+                    out["__salt"] = np.where(
+                        is_hot, np.arange(len(df)) % salt, 0)
                     return out
-                # build side: replicate hot rows into every sub-bucket
-                out["__side"] = np.int8(1)
-                cold = out[~is_hot].copy()
-                cold["__bucket"] = ((base[~is_hot] * np.uint64(salt))
-                                    % np.uint64(bucket_count * salt)) \
-                    .astype("int64")
-                reps = []
+                # build side: replicate hot rows into every salt
+                out["__salt"] = 0
                 hot_rows = out[is_hot]
-                hb = base[is_hot]
-                for s in range(salt):
-                    rep = hot_rows.copy()
-                    rep["__bucket"] = ((hb * np.uint64(salt) + np.uint64(s))
-                                       % np.uint64(bucket_count * salt)) \
-                        .astype("int64")
-                    reps.append(rep)
-                return pd.concat([cold] + reps, ignore_index=True)
+                return pd.concat(
+                    [out] + [hot_rows.assign(__salt=s)
+                             for s in range(1, salt)], ignore_index=True)
 
             return ds.map_batches(tag, batch_format="pandas")
 
@@ -349,10 +296,8 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
         types = {c: rt[c] if c in rc else lt[c] for c in all_cols}
         jt = {"inner": "inner", "left": "left outer",
               "right": "right outer", "outer": "full outer"}[how]
-        l2 = _prep_arrow(left_ds, left_on, bucket_count, 0, all_cols,
-                         types, lt[left_on])
-        r2 = _prep_arrow(right_ds, right_on, bucket_count, 1, all_cols,
-                         types, lt[left_on])
+        l2 = _prep_arrow(left_ds, left_on, 0, all_cols, types, lt[left_on])
+        r2 = _prep_arrow(right_ds, right_on, 1, all_cols, types, lt[left_on])
 
         def merge_arrow(group: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -367,13 +312,13 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
             out = out.select(["__key"] + lc + rc)
             return out.rename_columns([left_on] + lc + rc)
 
-        return l2.union(r2).groupby("__bucket").map_groups(
-            merge_arrow, batch_format="pyarrow")
+        return bucket_map([l2, r2], "__key", bucket_count, merge_arrow,
+                          batch_format="pyarrow")
 
     globals()["last_interior"] = "pandas"
     if not use_salt:
-        l2 = _prep(left_ds, left_on, bucket_count, 0, all_cols)
-        r2 = _prep(right_ds, right_on, bucket_count, 1, all_cols)
+        l2 = _prep(left_ds, left_on, 0, all_cols)
+        r2 = _prep(right_ds, right_on, 1, all_cols)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         l = group[group["__side"] == 0]
@@ -381,7 +326,11 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
         m = l[["__key"] + lc].merge(r[["__key"] + rc], on="__key", how=how)
         return restore(m.rename(columns={"__key": left_on}))
 
-    return l2.union(r2).groupby("__bucket").map_groups(merge, batch_format="pandas")
+    if use_salt:
+        # salted rows co-locate by (key, salt) over salt × B buckets
+        return bucket_map([l2, r2], ["__key", "__salt"], bucket_count * salt,
+                          merge)
+    return bucket_map([l2, r2], "__key", bucket_count, merge)
 
 
 def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
@@ -395,7 +344,7 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
 
     if bucket_count is None:
         left_ds = left_ds.materialize()
-        bucket_count = _auto_buckets(left_ds)
+        bucket_count = auto_bucket_count(left_ds)
 
     lt = _arrow_types(left_ds)
     if _join_impl() == "arrow" and lt is not None:
@@ -413,7 +362,6 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
             cols = {c: tbl.column(c) for c in left_cols}
             cols["__key"] = (key if key.type == key_type
                              else pc.cast(key, key_type))
-            cols["__bucket"] = _bucket_of(cols["__key"], bucket_count)
             cols["__side"] = pa.array(
                 np.zeros(tbl.num_rows, dtype="int8"))
             return pa.table(cols)
@@ -430,7 +378,6 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
             n = len(keys)
             cols = {c: pa.nulls(n, type=lt[c]) for c in left_cols}
             cols["__key"] = keys
-            cols["__bucket"] = _bucket_of(keys, bucket_count)
             cols["__side"] = pa.array(np.ones(n, dtype="int8"))
             return pa.table(cols)
 
@@ -447,16 +394,14 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
             return l.join(rk, keys="__key", join_type=jt,
                           use_threads=False).select(left_cols)
 
-        return l2.union(r2).groupby("__bucket").map_groups(
-            pick_arrow, batch_format="pyarrow")
+        return bucket_map([l2, r2], "__key", bucket_count, pick_arrow,
+                          batch_format="pyarrow")
 
     globals()["last_interior"] = "pandas"
 
     def tag_left(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()
         out["__key"] = df[left_on]
-        out["__bucket"] = (hash64(df[left_on].astype(str).to_numpy())
-                           % np.uint64(bucket_count)).astype("int64")
         out["__side"] = np.int8(0)
         return out
 
@@ -465,8 +410,6 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
         out = pd.DataFrame({"__key": keys})
         for c in left_cols:
             out[c] = None
-        out["__bucket"] = (hash64(keys.astype(str).to_numpy())
-                           % np.uint64(bucket_count)).astype("int64")
         out["__side"] = np.int8(1)
         return out
 
@@ -480,14 +423,13 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
         keep = l[matched] if keep_matched else l[~matched]
         return restore(keep[left_cols].copy())
 
-    return l2.union(r2).groupby("__bucket").map_groups(pick,
-                                                       batch_format="pandas")
+    return bucket_map([l2, r2], "__key", bucket_count, pick)
 
 
 def bucket_anti_join(left_ds, right_ds, left_on: str, right_on: str,
                      bucket_count: int | None = 32):
     """LEFT rows whose key has NO match on the right — the exact anti-join,
-    expressed as the same one-union-one-groupby exchange as ``bucket_join``."""
+    expressed as the same ``bucket_map`` exchange as ``bucket_join``."""
     return _bucket_semi_anti(left_ds, right_ds, left_on, right_on,
                              bucket_count, keep_matched=False)
 
@@ -506,8 +448,8 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
               inner: bool = True):
     """As-of join (nearest right row with right_ts <= left_ts per key): sort
     both sides by (key, ts) within hash(key) buckets and ``pd.merge_asof``
-    per bucket — the range-join pattern from the Ray guide.  One groupby
-    shuffle; ordering assumption: ts sortable within a bucket's memory.
+    per bucket — the range-join pattern from the Ray guide.  One
+    ``bucket_map`` exchange; ordering assumption: ts sortable within a bucket's memory.
     ``bucket_count=None`` derives B from measured input bytes."""
     left_cols = _schema_names(left_ds)
     right_cols = _schema_names(right_ds)
@@ -521,10 +463,10 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
     if bucket_count is None:
         left_ds = left_ds.materialize()
         right_ds = right_ds.materialize()
-        bucket_count = _auto_buckets(left_ds, right_ds)
+        bucket_count = auto_bucket_count(left_ds, right_ds)
 
-    l2 = _prep(left_ds, left_on, bucket_count, 0, all_cols)
-    r2 = _prep(right_ds, right_on, bucket_count, 1, all_cols)
+    l2 = _prep(left_ds, left_on, 0, all_cols)
+    r2 = _prep(right_ds, right_on, 1, all_cols)
     lc = [c for c in left_cols if c != left_on]
     rc = [c for c in right_cols if c != right_on]
 
@@ -553,4 +495,4 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
             m = m[m[right_ts].notna()]
         return restore(m.rename(columns={"__key": left_on}))
 
-    return l2.union(r2).groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return bucket_map([l2, r2], "__key", bucket_count, merge)

@@ -21,6 +21,7 @@ import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..state.index import LabelIndex
+from .aggregates import bucket_map
 
 EDGE_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -446,13 +447,16 @@ def _marker_batch(batch: pa.Table) -> pa.Table:
     }, schema=PARTIAL_SCHEMA)
 
 
-def _gather_resolved_group(df: pd.DataFrame, top_k: int) -> pa.Table:
+def _gather_resolved_group(group: pa.Table, top_k: int) -> pa.Table:
     """One hash(mention) bucket of partials → resolved rows with candidate
     payloads, via the same pure finalize as every other path.  Returns
-    Arrow: the list columns don't survive a pandas round-trip."""
+    Arrow: the list columns don't survive a pandas round-trip.  The bucket
+    arrives as Arrow because the exchange sorts Arrow blocks stably (pandas
+    blocks it does not): one shard's candidates keep their scoring order,
+    which decides score ties between an entity's labels in finalize."""
     from ..state.index import finalize_candidates
 
-    df = df.drop(columns="__bucket")
+    df = group.to_pandas()
     cols: dict[str, list] = {name: [] for name in RESOLVED_SCHEMA.names}
     for m, g in df.groupby("mention", sort=False):
         g = g[g["uri"].notna()]
@@ -491,8 +495,6 @@ def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
     materializes as its resolved table."""
     import ray
 
-    from ..functions.hashing import hash64
-
     kw = dict(index_dir=index_dir, fuzzy=fuzzy, max_edit=max_edit)
     # SHARD-MAJOR scatter: the grid is (shard × distinct-block) tasks, and
     # every task pays a shard-index load if its worker hasn't served that
@@ -510,23 +512,13 @@ def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
                                      batch_format="pyarrow",
                                      batch_size=None)
              for s in shards]
-    partials = scatter_src.map_batches(_marker_batch,
-                                       batch_format="pyarrow",
-                                       batch_size=None)
-    for p in parts:
-        partials = partials.union(p)
-
+    markers = scatter_src.map_batches(_marker_batch,
+                                      batch_format="pyarrow",
+                                      batch_size=None)
     num_buckets = max(32, int(ray.cluster_resources().get("CPU", 4)) * 2)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = (hash64(t.column("mention").to_pylist())
-             % np.uint64(num_buckets)).astype("int64")
-        return t.append_column("__bucket", pa.array(b))
-
-    return partials.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__bucket") \
-        .map_groups(lambda g: _gather_resolved_group(g, top_k),
-                    batch_format="pandas")
+    return bucket_map([markers] + parts, "mention", num_buckets,
+                      lambda g: _gather_resolved_group(g, top_k),
+                      batch_format="pyarrow")
 
 
 def _flat(tbl: pa.Table, col: str):
@@ -734,16 +726,12 @@ def _link_merge_join(mentions_ds, resolved_ds, kw: dict, num_buckets: int):
     fits one worker's heap."""
     import pickle
 
-    from ..functions.hashing import hash64
-
     def tag_mentions(t: pa.Table) -> pd.DataFrame:
         df = t.select(list(MENTION_SCHEMA.names)).to_pandas()
         # int64 on both union sides — mixed-width blocks break the groupby
         df["table_idx"] = df["table_idx"].astype("int64")
         df["row_idx"] = df["row_idx"].astype("int64")
         df["__payload"] = pd.Series([None] * len(df), dtype=object)
-        df["__bucket"] = (hash64(df["mention"].astype(str).to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
         return df
 
     def tag_resolved(t: pa.Table) -> pd.DataFrame:
@@ -760,19 +748,16 @@ def _link_merge_join(mentions_ds, resolved_ds, kw: dict, num_buckets: int):
                 t.column("cand_etypes").to_pylist(),
                 t.column("cand_attrs").to_pylist())]
         ments = t.column("mention").to_pylist()
-        df = pd.DataFrame({
+        return pd.DataFrame({
             "url": "", "table_idx": 0, "row_idx": 0, "mention": ments,
             "context": "", "__payload": pd.Series(payloads, dtype=object)})
-        df["__bucket"] = (hash64(df["mention"].astype(str).to_numpy())
-                          % np.uint64(num_buckets)).astype("int64")
-        return df
 
-    tagged = mentions_ds.map_batches(tag_mentions, batch_format="pyarrow",
-                                     batch_size=None).union(
-        resolved_ds.map_batches(tag_resolved, batch_format="pyarrow",
-                                batch_size=None))
-    return tagged.groupby("__bucket").map_groups(
-        lambda g: _merge_links_cogrouped(g, **kw), batch_format="pandas")
+    sides = [mentions_ds.map_batches(tag_mentions, batch_format="pyarrow",
+                                     batch_size=None),
+             resolved_ds.map_batches(tag_resolved, batch_format="pyarrow",
+                                     batch_size=None)]
+    return bucket_map(sides, "mention", num_buckets,
+                      lambda g: _merge_links_cogrouped(g, **kw))
 
 
 def link_mentions(mentions_ds, index_dir: str,

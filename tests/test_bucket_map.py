@@ -1,0 +1,165 @@
+"""``aggregates.bucket_map`` — the one hash-bucket exchange — on adversarial
+shapes, plus a guard that keeps the exchange from being hand-rolled again."""
+
+from __future__ import annotations
+
+import pathlib
+import uuid
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+from mannheimsearchjoinsengine_ray.stages.aggregates import bucket_map
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "mannheimsearchjoinsengine_ray"
+
+
+def _shape(name: str):
+    """→ (list of input frames, key).  Frames listed together go through
+    one bucket_map call as separate sides."""
+    n = 300
+    if name == "empty":
+        return [pd.DataFrame({"k": pd.Series([], dtype=object),
+                              "v": pd.Series([], dtype="int64")})], "k"
+    if name == "hot_key":
+        return [pd.DataFrame({"k": ["hot"] * n, "v": np.arange(n)})], "k"
+    if name == "null_keys":
+        keys = [None if i % 3 == 0 else f"k{i % 7}" for i in range(n)]
+        return [pd.DataFrame({"k": keys, "v": np.arange(n)})], "k"
+    if name == "two_column_key":
+        return [pd.DataFrame({"a": [f"a{i % 5}" for i in range(n)],
+                              "b": np.arange(n) % 4,
+                              "v": np.arange(n)})], ["a", "b"]
+    if name == "int_keys":
+        return [pd.DataFrame({"k": np.arange(n) % 37, "v": np.arange(n)})], "k"
+    if name == "int_keys_nulls_in_one_block":
+        # nulls only in the first of the three blocks: Ray hands that block
+        # to pandas as float64 and the others as int64
+        keys = pd.array([None if i < n // 3 and i % 4 == 0 else i % 37
+                         for i in range(n)], dtype="Int64")
+        return [pd.DataFrame({"k": keys, "v": np.arange(n)})], "k"
+    if name == "datetime_keys":
+        # the first two blocks fall on midnight, the third does not
+        i = np.arange(n)
+        days = pd.to_timedelta(i % 9, unit="D")
+        hours = pd.to_timedelta(np.where((i >= 200) & (i % 50 == 49), 3, 0),
+                                unit="h")
+        return [pd.DataFrame({"k": pd.Timestamp("2024-01-01") + days + hours,
+                              "v": i})], "k"
+    if name == "string_keys":
+        return [pd.DataFrame({"k": [str(i % 37) for i in range(n)],
+                              "v": np.arange(n)})], "k"
+    assert name == "two_sides"
+    return [pd.DataFrame({"k": np.arange(n) % 37, "v": np.arange(n)}),
+            pd.DataFrame({"k": np.arange(50) % 37,
+                          "v": np.arange(n, n + 50)})], "k"
+
+
+def _arrow(df: pd.DataFrame) -> pa.Table:
+    """Arrow table without pandas metadata, as a parquet file written by
+    Arrow reads: an int column holding a null reaches pandas as float64."""
+    return pa.Table.from_pandas(df, preserve_index=False) \
+        .replace_schema_metadata(None)
+
+
+def _dataset(df: pd.DataFrame, arrow_blocks: bool):
+    import ray.data as rd
+
+    if arrow_blocks:
+        return rd.from_arrow(_arrow(df)).repartition(3)
+    # a pandas map keeps pandas blocks
+    return rd.from_pandas(df).repartition(3).map_batches(
+        lambda b: b, batch_format="pandas")
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+@pytest.mark.parametrize("shape", ["empty", "hot_key", "null_keys",
+                                   "two_column_key", "int_keys",
+                                   "int_keys_nulls_in_one_block",
+                                   "datetime_keys",
+                                   "string_keys", "two_sides"])
+def test_bucket_map_key_in_one_call(ray_session, shape, batch_format):
+    """Every key's rows reach exactly one fn call, fn never sees the bucket
+    column, and the union of fn outputs is exactly the input.  Sides
+    alternate Arrow and pandas blocks — both must hash a key the same
+    way."""
+    frames, key = _shape(shape)
+    keys = [key] if isinstance(key, str) else key
+    sides = [_dataset(df, arrow_blocks=i % 2 == 0)
+             for i, df in enumerate(frames)]
+
+    def tag_call(group):
+        call = uuid.uuid4().hex
+        if batch_format == "pyarrow":
+            assert isinstance(group, pa.Table)
+            assert "__bucket" not in group.column_names
+            return group.append_column(
+                "call", pa.array([call] * group.num_rows, pa.string()))
+        assert isinstance(group, pd.DataFrame)
+        assert "__bucket" not in group.columns
+        return group.assign(call=call)
+
+    ds = sides if len(sides) > 1 else sides[0]
+    out = bucket_map(ds, key, 4, tag_call, batch_format=batch_format) \
+        .to_pandas()
+    want = pd.concat(frames, ignore_index=True)
+    if want.empty:
+        assert len(out) == 0
+        return
+    calls = out.groupby(keys, dropna=False)["call"].nunique()
+    assert (calls == 1).all(), calls[calls > 1]
+    got = out.drop(columns="call")[list(want.columns)] \
+        .sort_values("v").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want.sort_values("v").reset_index(
+        drop=True), check_dtype=False)
+
+
+@pytest.mark.parametrize("impl", ["arrow", "pandas"])
+def test_joins_nullable_int_key(ray_session, impl, monkeypatch):
+    """Inner, semi and anti joins on an int key whose nulls sit in one of
+    the left side's blocks match pandas on both join interiors: the key 5
+    must hash the same in the block holding nulls as in the others."""
+    import ray.data as rd
+
+    from mannheimsearchjoinsengine_ray.stages import joins
+
+    n = 300
+    keys = pd.array([None if i < n // 3 and i % 4 == 0 else i % 37
+                     for i in range(n)], dtype="Int64")
+    left = pd.DataFrame({"k": keys, "v": np.arange(n)})
+    right = pd.DataFrame({"rk": np.arange(0, 40, 2), "w": np.arange(20)})
+    monkeypatch.setenv("GRAFT_JOIN_IMPL", impl)
+
+    def sides():
+        return (rd.from_arrow(_arrow(left)).repartition(3),
+                rd.from_arrow(_arrow(right)).repartition(2))
+
+    matched = left["k"].isin(right["rk"]).fillna(False).astype(bool)
+    want = {"inner": left[matched].merge(right, left_on="k", right_on="rk")
+            [["v", "w"]],
+            "semi": left[matched][["v"]], "anti": left[~matched][["v"]]}
+    got = {"inner": joins.bucket_join(*sides(), "k", "rk", bucket_count=8),
+           "semi": joins.bucket_semi_join(*sides(), "k", "rk", bucket_count=8),
+           "anti": joins.bucket_anti_join(*sides(), "k", "rk", bucket_count=8)}
+    for name, ds in got.items():
+        out = ds.to_pandas()
+        assert joins.last_interior == impl
+        cols = list(want[name].columns)
+        pd.testing.assert_frame_equal(
+            out[cols].sort_values("v").reset_index(drop=True),
+            want[name].sort_values("v").reset_index(drop=True),
+            check_dtype=False, obj=f"{impl} {name}")
+
+
+def test_bucket_column_only_in_aggregates():
+    """The ``__bucket`` exchange idiom lives in ``stages/aggregates.py``
+    alone; every other module goes through ``bucket_map``."""
+    offenders = [
+        str(p.relative_to(PACKAGE))
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if "__bucket" in p.read_text(encoding="utf-8")
+        and p.relative_to(PACKAGE).as_posix() != "stages/aggregates.py"
+    ]
+    assert offenders == [], f"hand-rolled bucket exchange in {offenders}"

@@ -104,7 +104,7 @@ def test_two_phase_agg_bucket_final_matches_pandas(ray_session, rng):
         "avg": ("v", "mean"), "n": (None, "count"),
     }
     got = two_phase_agg(rd.from_pandas(df).repartition(6), ["g", "h"], spec,
-                        final_blocks=7, driver_final_bytes=0).to_pandas()
+                        driver_final_bytes=0).to_pandas()
     want = df.groupby(["g", "h"]).agg(
         s=("v", "sum"), mn=("w", "min"), mx=("w", "max"),
         avg=("v", "mean"), n=("v", "size")).reset_index()

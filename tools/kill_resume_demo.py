@@ -75,10 +75,11 @@ def _metrics(p: subprocess.Popen) -> dict:
 def _checksum(out_dir: str) -> tuple[int, int]:
     import duckdb
     pat = os.path.join(out_dir, "shard=*", "part=*", "*.parquet")
+    # hash of the row value: a NULL field still contributes (a ``||``
+    # concatenation would turn the whole row NULL and drop it from the sum)
     n, h = duckdb.sql(
         "SELECT count(*), "
-        "sum(hash(subj || '|' || pred || '|' || obj || '|' || obj_type "
-        "    || '|' || source_url))::hugeint "
+        "sum(hash((subj, pred, obj, obj_type, source_url)))::hugeint "
         f"FROM parquet_scan('{pat}')").fetchone()
     return int(n), int(h)
 
@@ -101,7 +102,13 @@ def main() -> int:
             raise RuntimeError("child finished before the kill could fire")
         time.sleep(0.05)
     time.sleep(1.0)
-    os.killpg(p.pid, signal.SIGKILL)
+    if p.poll() is not None:
+        raise RuntimeError("child finished before the kill could fire")
+    try:
+        os.killpg(p.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        # the group exited between the poll and the kill
+        raise RuntimeError("child finished before the kill could fire")
     p.wait()
     committed_at_kill = len(glob.glob(manifest_glob))
     time.sleep(3.0)  # let the killed Ray session's sockets/shm drain
@@ -130,7 +137,8 @@ def main() -> int:
         "clean_sec": round(t_clean, 2),
         "resume_sec": round(t_resume, 2),
         "ok": (n_a == n_b and h_a == h_b and not transients
-               and resumed["shards_skipped"] >= 2),
+               and resumed["shards_skipped"] >= 2
+               and committed_at_kill < NUM_SHARDS),
     }
     print(json.dumps(verdict))
     return 0 if verdict["ok"] else 1
