@@ -2029,7 +2029,7 @@ def _persist_refine_oracle(index_dir: str, mentions: dict,
     import pyarrow.parquet as _pq
 
     from ..functions.normalize import tokenize_string
-    from ..state.index import LabelIndex
+    from ..state.index import LabelIndex, attrs_toksets
     from ..stages.link import CONTEXT_SEP
 
     os.makedirs(_KG_ORACLE_BASE, exist_ok=True)
@@ -2049,27 +2049,24 @@ def _persist_refine_oracle(index_dir: str, mentions: dict,
 
     n = len(idx.entries_uri)
     _pq.write_table(pa.table({
-        "eid": pa.array(range(n), pa.int64()),
-        "uri": pa.array(idx.entries_uri, pa.string()),
-        "norm": pa.array(idx.entries_norm, pa.string()),
-        "ntok": pa.array([int(x) for x in idx.entries_ntok], pa.int64()),
-        "n_name_toks": pa.array([len(set(nm.split()))
-                                 for nm in idx.entries_norm], pa.int64()),
-        "has_attrs": pa.array([bool(a) for a in idx.entries_attrs],
-                              pa.bool_()),
+        "eid": pa.array(np.arange(n, dtype=np.int64)),
+        "uri": idx.entries_uri,
+        "norm": idx.entries_norm,
+        "ntok": pa.array(idx.entries_ntok.astype(np.int64)),
+        "n_name_toks": pa.array(idx.entries_nuniq.astype(np.int64)),
+        "has_attrs": pa.array(idx.entries_has_attrs),
     }), os.path.join(tmp, "entries.parquet"))
 
-    nt_e, nt_t = [], []
-    for eid, nm in enumerate(idx.entries_norm):
-        for t in set(nm.split()):
-            nt_e.append(eid)
-            nt_t.append(t)
-    _pq.write_table(pa.table({"eid": pa.array(nt_e, pa.int64()),
-                              "token": pa.array(nt_t, pa.string())}),
+    # the CSR postings ARE the distinct (token, entry) name-token pairs
+    tid = np.repeat(np.arange(len(idx.tokens)), np.diff(idx.offsets))
+    post_tok = idx.tokens.take(pa.array(tid))
+    post_eid = pa.array(idx.entry_ids.astype(np.int64))
+    _pq.write_table(pa.table({"eid": post_eid, "token": post_tok}),
                     os.path.join(tmp, "entry_name_tokens.parquet"))
 
     at_e, at_a, at_t, at_n = [], [], [], []
-    for eid, attrs in enumerate(idx.entries_attrs):
+    for eid in np.flatnonzero(idx.entries_has_attrs).tolist():
+        attrs = attrs_toksets(idx.entries_attrs[eid].as_py())
         for ai, toks in enumerate(attrs):
             for t in toks:
                 at_e.append(eid)
@@ -2083,21 +2080,11 @@ def _persist_refine_oracle(index_dir: str, mentions: dict,
         "n_attr_toks": pa.array(at_n, pa.int64())}),
         os.path.join(tmp, "entry_attr_tokens.parquet"))
 
-    p_t, p_e, p_w = [], [], []
-    for tok, eids in idx.postings.items():
-        for e in eids:
-            p_t.append(tok)
-            p_e.append(int(e))
-            p_w.append(idx.idf[tok])
-    _pq.write_table(pa.table({"token": pa.array(p_t, pa.string()),
-                              "eid": pa.array(p_e, pa.int64()),
-                              "idf": pa.array(p_w, pa.float64())}),
+    _pq.write_table(pa.table({"token": post_tok, "eid": post_eid,
+                              "idf": pa.array(idx.idf[tid])}),
                     os.path.join(tmp, "postings.parquet"))
-    vocab = sorted(idx.postings)
-    _pq.write_table(pa.table({
-        "token": pa.array(vocab, pa.string()),
-        "idf": pa.array([idx.idf[t] for t in vocab], pa.float64())}),
-        os.path.join(tmp, "vocab.parquet"))
+    _pq.write_table(pa.table({"token": idx.tokens, "idf": pa.array(idx.idf)}),
+                    os.path.join(tmp, "vocab.parquet"))
 
     mm_m, mm_norm, mm_ntok = [], [], []
     mt_m, mt_t = [], []

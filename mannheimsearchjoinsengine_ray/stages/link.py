@@ -20,7 +20,15 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
-from ..state.index import LabelIndex
+from ..state.index import (
+    LabelIndex,
+    attrs_toksets,
+    finalize_candidates,
+    has_attr_tokens,
+    rank_keys,
+    score_gaps,
+    top_hits,
+)
 from .aggregates import bucket_map
 
 EDGE_SCHEMA = pa.schema([
@@ -125,8 +133,8 @@ class LinkerActor:
                 gap = top2[1] - top2[0]
             else:
                 gap = float("inf")
-            has_attrs = any(self.index.entries_attrs[eid]
-                            for eid, _ in scored)
+            has_attrs = bool(self.index.entries_has_attrs[
+                [eid for eid, _ in scored]].any())
             entry = (scored, base_hits, gap, has_attrs)
             if len(self._cache) < 200_000:
                 self._cache[m] = entry
@@ -159,23 +167,22 @@ class LinkerActor:
         gaps_u = np.array([e[2] for e in entries], dtype=np.float64)
         attrs_u = np.array([e[3] for e in entries], dtype=bool)
 
-        def refinalize(j: int, cells: list[str]):
-            return self._hit_arrays(self.index.finalize(
-                entries[j][0], self.top_k, context=cells,
-                refine_factor=self.refine_factor))
-
         return _link_rows(batch, mentions, codes, uni_arrays, gaps_u, attrs_u,
-                          self.refine_factor, refinalize)
+                          self.refine_factor, self.top_k,
+                          lambda j: self.index.candidates(entries[j][0]))
 
 
 def _link_rows(batch: pa.Table, mentions: list, codes, uni_arrays: list,
-               gaps_u, attrs_u, factor: float, refinalize) -> pa.Table:
+               gaps_u, attrs_u, factor: float, top_k: int,
+               candidates_of) -> pa.Table:
     """Shared edge-assembly core: given per-UNIQUE-mention hit arrays, gaps
     and attr flags (``codes`` maps rows → uniques), apply the vectorized
-    margin gate, re-score gate-passing rows via ``refinalize(j, cells)``, and
-    emit edges by array concatenation in original row order.  Used by both
-    the per-actor-cache path (LinkerActor) and the broadcast-merge path so
-    their semantics cannot drift."""
+    margin gate, re-score gate-passing rows with the context term over
+    unique mention j's candidates ``candidates_of(j)`` (built once per
+    batch, on j's first gate-passing row), and emit edges by array
+    concatenation in original row order.  Used by both the per-actor-cache
+    path (LinkerActor) and the broadcast-merge path so their semantics
+    cannot drift."""
     n = batch.num_rows
     urls = np.asarray(batch.column("url").to_pylist(), dtype=object)
     tids = np.asarray(batch.column("table_idx").to_pylist(), dtype=np.int64)
@@ -194,6 +201,7 @@ def _link_rows(batch: pa.Table, mentions: list, codes, uni_arrays: list,
         gate = (n_cells > 0) & attrs_u[codes] & \
             (gaps_u[codes] <= factor * n_cells)
 
+    cands_u: dict[int, list] = {}
     uri_p: list = []
     score_p: list = []
     rank_p: list = []
@@ -206,7 +214,11 @@ def _link_rows(batch: pa.Table, mentions: list, codes, uni_arrays: list,
             ctx = contexts[i]
             cells = ctx.split(CONTEXT_SEP) if isinstance(ctx, str) \
                 else list(ctx)
-            arrs = refinalize(c, cells)
+            cands = cands_u.get(c)
+            if cands is None:
+                cands = cands_u[c] = candidates_of(c)
+            arrs = LinkerActor._hit_arrays(finalize_candidates(
+                cands, top_k, context=cells, refine_factor=factor))
         else:
             arrs = uni_arrays[c]
         counts[i] = len(arrs[0])
@@ -281,30 +293,63 @@ def _core_for(index_dir: str, top_k: int, max_edit: int, fuzzy: bool,
     return core
 
 
+def _list_column(offsets: np.ndarray, values: pa.Array) -> pa.Array:
+    return pa.ListArray.from_arrays(pa.array(offsets.astype(np.int32)),
+                                    values)
+
+
+def _resolved_table(mentions: pa.Array, moffs: np.ndarray,
+                    scores: np.ndarray, uri: pa.Array, norm: pa.Array,
+                    etype: pa.Array, has_attrs: np.ndarray, rank: np.ndarray,
+                    urank: np.ndarray, top_k: int, cands: dict) -> pa.Table:
+    """Flat candidates (mention i's are ``[moffs[i]:moffs[i+1]]``) →
+    RESOLVED_SCHEMA rows: the vectorized no-context top-k, the top-two gap,
+    the attr flag, and the ``cands`` candidate columns (flat values in the
+    order given; a column left out is empty lists) — ``cand_eids`` for a
+    replicated index, the payload columns when shard-routed."""
+    n = len(mentions)
+    mid = np.repeat(np.arange(n), np.diff(moffs))
+    hit, hit_counts = top_hits(mid, n, scores, rank, urank, top_k)
+    hoffs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(hit_counts, out=hoffs[1:])
+    take = pa.array(hit)
+    cols = {
+        "mention": mentions,
+        "uris": _list_column(hoffs, uri.take(take)),
+        "scores": _list_column(hoffs, pa.array(scores[hit])),
+        "names": _list_column(hoffs, norm.take(take)),
+        "etypes": _list_column(hoffs, etype.take(take)),
+        "gap": score_gaps(mid, n, scores),
+        "has_attrs": np.bincount(mid, weights=has_attrs, minlength=n) > 0,
+        "cand_scores": _list_column(moffs, pa.array(scores)),
+    }
+    for name in ("cand_eids", "cand_uris", "cand_norms", "cand_etypes",
+                 "cand_attrs"):
+        vals = cands.get(name)
+        cols[name] = _list_column(moffs, vals) if vals is not None \
+            else _list_column(np.zeros(n + 1, dtype=np.int64), pa.array(
+                [], RESOLVED_SCHEMA.field(name).type.value_type))
+    return pa.table(cols, schema=RESOLVED_SCHEMA)
+
+
 def resolve_mentions_batch(batch: pa.Table, index_dir: str, top_k: int,
                            max_edit: int, fuzzy: bool,
                            refine_factor: float) -> pa.Table:
     """DISTINCT mentions → one resolved row each: the finalized no-context
     top-k hits plus everything the per-row margin gate and context re-score
-    need later (top-two gap, attr flag, full candidate list)."""
-    core = _core_for(index_dir, top_k, max_edit, fuzzy, refine_factor)
-    cols: dict[str, list] = {name: [] for name in RESOLVED_SCHEMA.names}
-    for m in batch.column("mention").to_pylist():
-        scored, base_hits, gap, has_attrs = core._entry_for(m)
-        cols["mention"].append(m)
-        cols["uris"].append([h[0] for h in base_hits])
-        cols["scores"].append([h[1] for h in base_hits])
-        cols["names"].append([h[2] for h in base_hits])
-        cols["etypes"].append([h[3] for h in base_hits])
-        cols["gap"].append(gap)
-        cols["has_attrs"].append(bool(has_attrs))
-        cols["cand_eids"].append([int(e) for e, _ in scored])
-        cols["cand_scores"].append([float(s) for _, s in scored])
-        cols["cand_uris"].append([])
-        cols["cand_norms"].append([])
-        cols["cand_etypes"].append([])
-        cols["cand_attrs"].append([])
-    return pa.Table.from_pydict(cols, schema=RESOLVED_SCHEMA)
+    need later (top-two gap, attr flag, full candidate list).  One
+    ``score_many`` call scans the whole block."""
+    idx = _core_for(index_dir, top_k, max_edit, fuzzy, refine_factor).index
+    mentions = batch.column("mention").combine_chunks().cast(pa.string())
+    moffs, eids, scores = idx.score_many(mentions.to_pylist(), fuzzy=fuzzy,
+                                         max_edit=max_edit)
+    take = pa.array(eids)
+    return _resolved_table(
+        mentions, moffs, scores, idx.entries_uri.take(take),
+        idx.entries_norm.take(take), idx.entries_type.take(take),
+        idx.entries_has_attrs[eids], idx.entries_rank[eids],
+        idx.entries_uri_rank[eids], top_k,
+        {"cand_eids": pa.array(eids.astype(np.int64))})
 
 
 def _unique_mentions_batch(batch: pa.Table) -> pa.Table:
@@ -403,32 +448,25 @@ def _shard_index_for(index_dir: str, shard: int) -> "LabelIndex":
     return idx
 
 
-def _attrs_to_str(attrs: tuple) -> str:
-    return "\x1f".join(" ".join(sorted(a)) for a in attrs)
-
-
-def _attrs_from_str(s: str) -> tuple:
-    if not s:
-        return ()
-    return tuple(frozenset(a.split()) for a in s.split("\x1f") if a)
-
-
 def score_shard_batch(batch: pa.Table, index_dir: str, shard: int,
                       fuzzy: bool, max_edit: int) -> pa.Table:
     """distinct mentions × ONE shard → candidate partial rows (complete
-    per-candidate scores: an entry lives whole in its home shard)."""
+    per-candidate scores: an entry lives whole in its home shard), from one
+    ``score_many`` call over the block."""
     idx = _shard_index_for(index_dir, shard)
-    cols: dict[str, list] = {n: [] for n in PARTIAL_SCHEMA.names}
-    for m in batch.column("mention").to_pylist():
-        for uri, score, norm, etype, attrs in idx.search_candidates(
-                m, fuzzy=fuzzy, max_edit=max_edit):
-            cols["mention"].append(m)
-            cols["uri"].append(uri)
-            cols["score"].append(float(score))
-            cols["norm"].append(norm)
-            cols["etype"].append(etype)
-            cols["attrs"].append(_attrs_to_str(attrs))
-    return pa.Table.from_pydict(cols, schema=PARTIAL_SCHEMA)
+    mentions = batch.column("mention").combine_chunks().cast(pa.string())
+    moffs, eids, scores = idx.score_many(mentions.to_pylist(), fuzzy=fuzzy,
+                                         max_edit=max_edit)
+    take = pa.array(eids)
+    return pa.table({
+        "mention": mentions.take(pa.array(
+            np.repeat(np.arange(len(mentions)), np.diff(moffs)))),
+        "uri": idx.entries_uri.take(take),
+        "score": pa.array(scores),
+        "norm": idx.entries_norm.take(take),
+        "etype": idx.entries_type.take(take),
+        "attrs": idx.entries_attrs.take(take),
+    }, schema=PARTIAL_SCHEMA)
 
 
 def _marker_batch(batch: pa.Table) -> pa.Table:
@@ -449,40 +487,31 @@ def _marker_batch(batch: pa.Table) -> pa.Table:
 
 def _gather_resolved_group(group: pa.Table, top_k: int) -> pa.Table:
     """One hash(mention) bucket of partials → resolved rows with candidate
-    payloads, via the same pure finalize as every other path.  Returns
-    Arrow: the list columns don't survive a pandas round-trip.  The bucket
-    arrives as Arrow because the exchange sorts Arrow blocks stably (pandas
-    blocks it does not): one shard's candidates keep their scoring order,
-    which decides score ties between an entity's labels in finalize."""
-    from ..state.index import finalize_candidates
+    payloads, Arrow-native: a stable sort by mention groups the candidates
+    (each keeps the order it arrived in), then the same vectorized top-k,
+    gap and attr flag as the replicated resolve."""
+    import pyarrow.compute as pc
 
-    df = group.to_pandas()
-    cols: dict[str, list] = {name: [] for name in RESOLVED_SCHEMA.names}
-    for m, g in df.groupby("mention", sort=False):
-        g = g[g["uri"].notna()]
-        cands = [(u, float(s), nm, et, _attrs_from_str(a))
-                 for u, s, nm, et, a in zip(g["uri"], g["score"], g["norm"],
-                                            g["etype"], g["attrs"])]
-        hits = finalize_candidates(cands, top_k)
-        if len(cands) > 1:
-            top2 = sorted(c[1] for c in cands)[-2:]
-            gap = top2[1] - top2[0]
-        else:
-            gap = float("inf")
-        cols["mention"].append(m)
-        cols["uris"].append([h[0] for h in hits])
-        cols["scores"].append([h[1] for h in hits])
-        cols["names"].append([h[2] for h in hits])
-        cols["etypes"].append([h[3] for h in hits])
-        cols["gap"].append(gap)
-        cols["has_attrs"].append(any(c[4] for c in cands))
-        cols["cand_eids"].append([])
-        cols["cand_scores"].append([c[1] for c in cands])
-        cols["cand_uris"].append([c[0] for c in cands])
-        cols["cand_norms"].append([c[2] for c in cands])
-        cols["cand_etypes"].append([c[3] for c in cands])
-        cols["cand_attrs"].append([_attrs_to_str(c[4]) for c in cands])
-    return pa.Table.from_pydict(cols, schema=RESOLVED_SCHEMA)
+    enc = pc.dictionary_encode(group.column("mention").combine_chunks())
+    code = enc.indices.to_numpy(zero_copy_only=False)
+    rows = np.flatnonzero(group.column("uri").is_valid()
+                          .to_numpy(zero_copy_only=False))
+    rows = rows[np.argsort(code[rows], kind="stable")]
+    cand = group.take(pa.array(rows)).combine_chunks()
+    moffs = np.zeros(len(enc.dictionary) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code[rows], minlength=len(enc.dictionary)),
+              out=moffs[1:])
+    uri, norm = cand.column("uri").combine_chunks(), \
+        cand.column("norm").combine_chunks()
+    attrs = cand.column("attrs").combine_chunks()
+    etype = cand.column("etype").combine_chunks()
+    rank, urank = rank_keys(uri, norm)
+    return _resolved_table(
+        enc.dictionary, moffs,
+        cand.column("score").to_numpy().astype(np.float64, copy=False),
+        uri, norm, etype, has_attr_tokens(attrs), rank, urank, top_k,
+        {"cand_uris": uri, "cand_norms": norm, "cand_etypes": etype,
+         "cand_attrs": attrs})
 
 
 def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
@@ -647,27 +676,18 @@ def merge_links_batch(batch: pa.Table, ref, index_dir: str, top_k: int,
             attrs_u[j] = bool(has_attrs)
             cand_u[j] = ([e for e, _ in scored], [s for _, s in scored])
 
-    if payload_mode:
-        from ..state.index import finalize_candidates
-
-        def refinalize(j: int, cells: list[str]):
-            us, ss, ns, es, ats = cand_u[j]
-            cands = [(u, float(s), nm, et, _attrs_from_str(a))
-                     for u, s, nm, et, a in zip(us, ss, ns, es, ats)]
-            return LinkerActor._hit_arrays(finalize_candidates(
-                cands, top_k, context=cells, refine_factor=refine_factor))
-    else:
-        def refinalize(j: int, cells: list[str]):
-            # the index loads lazily, only on a gate-passing row — most merge
-            # tasks never touch it
-            index = _core_for(index_dir, top_k, max_edit, fuzzy,
-                              refine_factor).index
-            scored = list(zip(cand_u[j][0], cand_u[j][1]))
-            return LinkerActor._hit_arrays(index.finalize(
-                scored, top_k, context=cells, refine_factor=refine_factor))
+    def candidates_of(j: int) -> list:
+        if payload_mode:
+            return [(u, float(s), nm, et, attrs_toksets(a))
+                    for u, s, nm, et, a in zip(*cand_u[j])]
+        # the index loads lazily, only on a gate-passing row — most merge
+        # tasks never touch it
+        index = _core_for(index_dir, top_k, max_edit, fuzzy,
+                          refine_factor).index
+        return index.candidates(list(zip(*cand_u[j])))
 
     return _link_rows(batch, mentions, codes, uni_arrays, gaps_u, attrs_u,
-                      refine_factor, refinalize)
+                      refine_factor, top_k, candidates_of)
 
 
 def _merge_links_cogrouped(df: pd.DataFrame, index_dir: str, top_k: int,
@@ -801,9 +821,10 @@ def link_mentions(mentions_ds, index_dir: str,
     if sharded is None:
         # the guard compares what REPLICATING would cost per worker —
         # LabelIndex's resident bytes, not parquet file size (a 1M-entity
-        # index is 76 MB on disk but ~2.4 GB resident: ~30× dictionary +
-        # compression + Python-object inflation, measured round 5).  Older
-        # indexes without mem_bytes_est fall back to disk bytes × 30.
+        # index is 76 MB on disk but was ~2.4 GB resident as the former
+        # dict index: ~30× dictionary + compression + Python-object
+        # inflation, measured round 5).  Older indexes without
+        # mem_bytes_est fall back to disk bytes × 30.
         mem_est = (meta or {}).get("mem_bytes_est",
                                    (meta or {}).get("bytes", 0) * 30)
         sharded = bool(meta and len(meta.get("shards", [])) > 1
@@ -823,13 +844,17 @@ def link_mentions(mentions_ds, index_dir: str,
                                         batch_format="pyarrow")
     mkw = dict(kw, payload_mode=bool(sharded))
     use_bucket = distinct.count() > cfg.link_broadcast_limit
-    if sharded and not use_bucket:
+    if not use_bucket:
+        # resolve ONCE: to_arrow_refs() on the lazy Dataset would run the
+        # resolve a second time (under a limit-1 plan) just to fetch the
+        # schema
+        resolved = resolved.materialize()
         # payload-carrying resolved rows are ~100× heavier than eid rows
         # (measured 143 MB for 13k distinct mentions at a 200k-entity KB) —
         # byte-guard the broadcast the same way every other broadcast in the
         # repo is guarded, and fall back to the co-partitioned bucket merge
-        resolved = resolved.materialize()
-        use_bucket = resolved.size_bytes() > cfg.link_payload_broadcast_bytes
+        use_bucket = sharded and \
+            resolved.size_bytes() > cfg.link_payload_broadcast_bytes
     if use_bucket:
         n_buckets = max(32,
                         int(ray.cluster_resources().get("CPU", 4)) * 2)

@@ -43,7 +43,6 @@ label vs aliases (IndexEntry.isPrimaryKey analog).
 from __future__ import annotations
 
 import os
-from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
@@ -107,7 +106,10 @@ def postings_from_entities_batch(batch: pa.Table) -> pa.Table:
 _VOCAB_DIR = "vocab"
 _META_FILE = "_meta.json"
 # LabelIndex resident bytes ≈ this × uncompressed Arrow posting bytes
-# (measured 6.6× at a 1M-entity/3M-posting gazetteer; rounded up)
+# (measured 6.6× at a 1M-entity/3M-posting gazetteer on the former
+# dict-of-arrays index, rounded up; the flat CSR index holds ~0.6× at 200k
+# entities, so this now overstates — kept until the replicate guard is
+# re-tuned with it)
 _MEM_INFLATION = 7
 
 
@@ -248,11 +250,11 @@ def _write_index_meta(fs, index_dir: str, num_shards: int,
                      for f in fsio.listdir(fs, index_dir)
                      if f.startswith("shard_") and f.endswith(".parquet")),
         # what the REPLICATED mode would cost per worker: LabelIndex's
-        # Python strings/frozensets resident bytes, estimated from the
-        # uncompressed Arrow posting bytes.  Parquet file size is the WRONG
-        # basis for the replicate-vs-shard-route decision — measured at a
-        # 1M-entity gazetteer: 76 MB parquet → 360 MB Arrow → ~2.4 GB
-        # resident (~6.6× Arrow, ~30× disk; BASELINE.md round 5)
+        # resident bytes, estimated from the uncompressed Arrow posting
+        # bytes.  Parquet file size is the WRONG basis for the
+        # replicate-vs-shard-route decision — measured at a 1M-entity
+        # gazetteer on the former dict index: 76 MB parquet → 360 MB Arrow
+        # → ~2.4 GB resident (~6.6× Arrow, ~30× disk; BASELINE.md round 5)
         "arrow_bytes": arrow_bytes,
         "mem_bytes_est": arrow_bytes * _MEM_INFLATION,
     }
@@ -347,23 +349,30 @@ class VocabStats:
         t = pa.concat_tables(tabs) if tabs else pa.table(
             {"token": pa.array([], pa.string()),
              "df": pa.array([], pa.int64())})
-        hashes = hash64(t.column("token").to_pylist()).astype(np.uint64)
+        hashes = hash64(t.column("token").to_numpy(zero_copy_only=False)) \
+            .astype(np.uint64)
         order = np.argsort(hashes, kind="stable")
         self._h = hashes[order]
         self._df = t.column("df").to_numpy(zero_copy_only=False)[order] \
             .astype(np.int64)
 
+    def df_many(self, tokens) -> np.ndarray:
+        """Global document frequency per token (0 = not in the vocabulary):
+        one ``hash64`` call and one ``searchsorted`` for the whole batch."""
+        h = hash64(tokens)
+        if not len(self._h):
+            return np.zeros(len(h), dtype=np.int64)
+        i = np.minimum(np.searchsorted(self._h, h), len(self._h) - 1)
+        return np.where(self._h[i] == h, self._df[i], 0)
+
+    def contains_many(self, tokens) -> np.ndarray:
+        return self.df_many(tokens) > 0
+
     def df_of(self, token: str) -> int:
-        h = hash64([token])[0]
-        i = int(np.searchsorted(self._h, h))
-        if i < len(self._h) and self._h[i] == h:
-            return int(self._df[i])
-        return 0
+        return int(self.df_many([token])[0])
 
     def contains(self, token: str) -> bool:
-        h = hash64([token])[0]
-        i = int(np.searchsorted(self._h, h))
-        return i < len(self._h) and self._h[i] == h
+        return bool(self.contains_many([token])[0])
 
 
 _VOCAB_CACHE: dict[str, VocabStats] = {}
@@ -380,13 +389,165 @@ def vocab_stats_for(index_dir: str) -> VocabStats:
     return v
 
 
+def _utf8_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """A string array's (byte offsets int64[n+1], UTF-8 bytes uint8) as
+    zero-copy numpy views."""
+    bufs = arr.buffers()
+    offs = np.frombuffer(bufs[1], dtype=np.int32)[
+        arr.offset:arr.offset + len(arr) + 1].astype(np.int64)
+    return offs, np.frombuffer(bufs[2], dtype=np.uint8)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` for every (start, length) pair."""
+    total = int(lens.sum())
+    ends = np.cumsum(lens)
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + lens,
+                                                        lens)
+
+
+def _fuzzy_keys(offs: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Fuzzy bucket key per string: its first character's UTF-8 bytes in
+    the high 32 bits, its length in characters in the low 32."""
+    lead = (data & 0xC0) != 0x80
+    cs = np.zeros(len(data) + 1, dtype=np.int64)
+    np.cumsum(lead, out=cs[1:])
+    nchar = (cs[offs[1:]] - cs[offs[:-1]]).astype(np.uint64)
+    pad = np.concatenate([data, np.zeros(4, dtype=np.uint8)]).astype(np.uint64)
+    st = offs[:-1]
+    b0 = pad[st]
+    nbytes = 1 + (b0 >= 0xC0) + (b0 >= 0xE0) + (b0 >= 0xF0)
+    first = b0
+    for k in (1, 2, 3):
+        first = (first << np.uint64(8)) | np.where(k < nbytes, pad[st + k], 0) \
+            .astype(np.uint64)
+    first = np.where(offs[1:] > st, first, 0).astype(np.uint64)
+    return (first << np.uint64(32)) | nchar
+
+
+_HIST_BINS = 32
+
+
+def _char_hist(offs: np.ndarray, data: np.ndarray,
+               ids: np.ndarray) -> np.ndarray:
+    """Per string ``ids[i]``: character counts over ``_HIST_BINS`` bins
+    (a character's bin is its UTF-8 lead byte mod the bin count; a-z get
+    a bin each)."""
+    st = offs[ids]
+    lens = offs[ids + 1] - st
+    b = data[_ranges(st, lens)]
+    row = np.repeat(np.arange(len(ids), dtype=np.int64), lens)
+    lead = (b & 0xC0) != 0x80
+    flat = row[lead] * _HIST_BINS + (b[lead] % _HIST_BINS)
+    return np.bincount(flat, minlength=len(ids) * _HIST_BINS) \
+        .reshape(len(ids), _HIST_BINS)
+
+
+def attrs_toksets(attrs_norm: str) -> tuple:
+    """An entry's ``attrs_norm`` string → one token set per sibling
+    attribute (the refine-attrs context, IndexManager.java:677-746)."""
+    if not attrs_norm:
+        return ()
+    return tuple(frozenset(a.split()) for a in attrs_norm.split(_ATTR_SEP)
+                 if a)
+
+
+def has_attr_tokens(attrs_norm: pa.Array) -> np.ndarray:
+    """Vectorized ``bool(attrs_toksets(s))`` over a string array."""
+    import pyarrow.compute as pc
+
+    stripped = pc.replace_substring(pc.fill_null(attrs_norm, ""), _ATTR_SEP, "")
+    return pc.greater(pc.binary_length(stripped), 0) \
+        .to_numpy(zero_copy_only=False)
+
+
+def rank_keys(uri: pa.Array, norm: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Per (uri, name_norm) row: its position in (uri, name_norm) order and
+    the dense rank of its uri — the numeric keys of the vectorized top-k
+    (Arrow's byte order on UTF-8 equals Python's code-point order)."""
+    import pyarrow.compute as pc
+
+    n = len(uri)
+    order = pc.sort_indices(pa.table({"u": uri, "n": norm}),
+                            sort_keys=[("u", "ascending"),
+                                       ("n", "ascending")]).to_numpy()
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    su = uri.take(pa.array(order))
+    new = np.ones(n, dtype=np.int64)
+    if n > 1:
+        new[1:] = pc.not_equal(su.slice(1), su.slice(0, n - 1)) \
+            .to_numpy(zero_copy_only=False)
+    urank = np.empty(n, dtype=np.int64)
+    urank[order] = np.cumsum(new) - 1
+    return rank, urank
+
+
+def _python_round9(scores: np.ndarray) -> np.ndarray:
+    # Python's round, not np.round: the two differ at half-way cases and
+    # finalize_candidates (and its SQL oracle) rank by Python's
+    return np.fromiter((round(s, 9) for s in scores.tolist()),
+                       dtype=np.float64, count=len(scores))
+
+
+def top_hits(mid: np.ndarray, n_mentions: int, scores: np.ndarray,
+             rank: np.ndarray, urank: np.ndarray,
+             top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`finalize_candidates` without context over flat
+    candidates (``mid`` = mention of each, ``rank``/``urank`` from
+    :func:`rank_keys`): per mention, order by (-round(score, 9), uri,
+    name_norm), keep each uri's first candidate, cut at ``top_k``.
+    → (candidate indices in output order, hit count per mention)."""
+    order = np.lexsort((rank, -_python_round9(scores), mid))
+    pair = mid[order].astype(np.int64) * (int(urank.max(initial=0)) + 1) \
+        + urank[order]
+    keep = np.zeros(len(order), dtype=bool)
+    keep[np.unique(pair, return_index=True)[1]] = True
+    order = order[keep]
+    m = mid[order]
+    counts = np.bincount(m, minlength=n_mentions)
+    pos = np.arange(len(order)) - (np.cumsum(counts) - counts)[m]
+    return order[pos < top_k], np.minimum(counts, top_k)
+
+
+def score_gaps(mid: np.ndarray, n_mentions: int,
+               scores: np.ndarray) -> np.ndarray:
+    """Per mention: best minus second-best candidate score (inf with fewer
+    than two candidates) — the margin the context gate compares."""
+    counts = np.bincount(mid, minlength=n_mentions)
+    starts = np.cumsum(counts) - counts
+    s = scores[np.lexsort((-scores, mid))]
+    gap = np.full(n_mentions, np.inf)
+    two = counts > 1
+    gap[two] = s[starts[two]] - s[starts[two] + 1]
+    return gap
+
+
 class LabelIndex:
     """In-memory serving structure over the shard files (loaded once per
-    actor).  Mirrors IValueIndex (SJ/index/IValueIndex.java:7-11) with
-    TF-IDF scoring in place of Lucene BM25."""
+    process).  Mirrors IValueIndex (SJ/index/IValueIndex.java:7-11) with
+    TF-IDF scoring in place of Lucene BM25.
+
+    Flat CSR layout — the load builds no per-token or per-posting Python
+    object (a 1M-entity dict-of-arrays index was ~30× its parquet size):
+
+    * ``tokens``: Arrow strings, one per token id; ids follow ``hash64``
+      order, so ``_tok_hash`` (sorted) is the token → id lookup.
+    * ``offsets`` (int64[T+1]) / ``entry_ids`` (int32): the postings of
+      token id t are ``entry_ids[offsets[t]:offsets[t+1]]``, sorted and
+      distinct.  ``idf``: float64 per token id.
+    * per entry (identity = (uri, name_norm), ids in first-seen order):
+      ``entries_uri``/``_norm``/``_type``/``_attrs`` Arrow strings (attrs =
+      the '\\x1f'-joined ``attrs_norm``), ``entries_ntok``, ``entries_nuniq``
+      (distinct name tokens), ``entries_has_attrs``, and the sort ranks
+      ``entries_rank``/``entries_uri_rank`` (:func:`rank_keys`).
+    * fuzzy buckets: token ids sorted by (first character, length).
+    """
 
     def __init__(self, index_dir: str, shards: list[int] | None = None,
                  vocab: VocabStats | None = None):
+        import pyarrow.compute as pc
+
         files = sorted(
             os.path.join(index_dir, f) for f in os.listdir(index_dir)
             if f.startswith("shard_") and f.endswith(".parquet")
@@ -397,48 +558,54 @@ class LabelIndex:
         if not files:
             raise FileNotFoundError(f"no index shards under {index_dir}")
 
-        # Vectorized ingestion (pandas factorize/groupby — no per-posting
-        # Python loop; matters at 10^6+ entities): entry identity is
-        # (uri, name_norm); postings become token → sorted entry-id arrays.
-        import pandas as pd
-
         tables = [pq.read_table(f) for f in files]
         t = pa.concat_tables(tables, promote_options="default") \
             if len(tables) > 1 else tables[0]
-        df = pd.DataFrame({
-            "token": t.column("token").to_pandas(),
-            "uri": t.column("entity_uri").to_pandas(),
-            "norm": t.column("name_norm").to_pandas(),
-            "ntok": t.column("n_tokens").to_pandas(),
-            "prim": t.column("is_primary").to_pandas(),
-            "etype": t.column("entity_type").to_pandas()
-            if "entity_type" in t.column_names else "",
-            "anorm": t.column("attrs_norm").to_pandas()
-            if "attrs_norm" in t.column_names else "",
-        })
-        eids, _ = pd.factorize(df["uri"] + "\x00" + df["norm"], sort=False)
-        df["eid"] = eids
-        firsts = df.drop_duplicates("eid").sort_values("eid")
-        self.entries_uri: list[str] = firsts["uri"].tolist()
-        self.entries_norm: list[str] = firsts["norm"].tolist()
-        self.entries_ntok = firsts["ntok"].to_numpy()
-        self.entries_primary: list[bool] = firsts["prim"].tolist()
-        self.entries_type: list[str] = firsts["etype"].astype(str).tolist()
-        # per entry: tuple of frozenset token sets, one per sibling attribute
-        # (refine-attrs context, IndexManager.java:677-746)
-        self.entries_attrs: list[tuple[frozenset, ...]] = [
-            tuple(frozenset(a.split()) for a in anorm.split(_ATTR_SEP) if a)
-            if anorm else ()
-            for anorm in firsts["anorm"].astype(str).tolist()
-        ]
-        self._uri_to_first_eid: dict[str, int] = {}
-        for i, u in enumerate(self.entries_uri):
-            self._uri_to_first_eid.setdefault(u, i)
 
-        self.postings: dict[str, np.ndarray] = {
-            tok: np.unique(g.to_numpy()).astype(np.int64)
-            for tok, g in df.groupby("token", sort=False)["eid"]
-        }
+        def col(name: str) -> pa.Array:
+            if name not in t.column_names:
+                return pa.array([""] * t.num_rows, pa.string())
+            return pc.fill_null(t.column(name).combine_chunks(), "")
+
+        uri, norm = col("entity_uri"), col("name_norm")
+        # entry identity is (uri, name_norm); ids in first-seen order
+        ent = pc.dictionary_encode(
+            pc.binary_join_element_wise(uri, norm, "\x00"))
+        eid = ent.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        n_entries = len(ent.dictionary)
+        first = pa.array(np.unique(eid, return_index=True)[1])
+        self.entries_uri = uri.take(first)
+        self.entries_norm = norm.take(first)
+        self.entries_type = col("entity_type").take(first)
+        self.entries_attrs = col("attrs_norm").take(first)
+        self.entries_ntok = t.column("n_tokens").combine_chunks().take(first) \
+            .to_numpy(zero_copy_only=False).astype(np.int32)
+        self.entries_has_attrs = has_attr_tokens(self.entries_attrs)
+        self.entries_rank, self.entries_uri_rank = rank_keys(
+            self.entries_uri, self.entries_norm)
+
+        # token ids: one factorize, then renumbered into hash64 order
+        tok = pc.dictionary_encode(col("token"))
+        tok_obj = tok.dictionary.to_numpy(zero_copy_only=False)
+        h = hash64(tok_obj)
+        perm = np.argsort(h, kind="stable")
+        tid_of = np.empty(len(perm), dtype=np.int64)
+        tid_of[perm] = np.arange(len(perm), dtype=np.int64)
+        self.tokens = tok.dictionary.take(pa.array(perm))
+        self._tok_hash = h[perm]
+        n_tokens = len(perm)
+
+        # distinct (token, entry) postings, sorted by token id then entry
+        stride = max(1, n_entries)
+        key = np.unique(
+            tid_of[tok.indices.to_numpy(zero_copy_only=False)] * stride + eid)
+        self.entry_ids = (key % stride).astype(np.int32)
+        df = np.bincount(key // stride, minlength=n_tokens)
+        self.offsets = np.zeros(n_tokens + 1, dtype=np.int64)
+        np.cumsum(df, out=self.offsets[1:])
+        self.entries_nuniq = np.bincount(
+            self.entry_ids, minlength=n_entries).astype(np.int32)
+
         # shard-routed serving (``vocab`` given): idf from the GLOBAL term
         # dictionary + global entry count so a shard's per-candidate scores
         # equal the full-index scores exactly (local df under-counts a token
@@ -446,96 +613,190 @@ class LabelIndex:
         # postings even though each ENTRY stays whole)
         self._vocab = vocab
         if vocab is not None:
-            self.idf = {
-                t: float(np.log1p(vocab.n_entries / max(1, vocab.df_of(t))))
-                for t in self.postings
-            }
+            gdf = vocab.df_many(tok_obj)[perm]
+            self.idf = np.log1p(vocab.n_entries / np.maximum(1, gdf))
         else:
-            n_entries = max(1, len(self.entries_uri))
-            self.idf = {
-                t: float(np.log1p(n_entries / len(ids)))
-                for t, ids in self.postings.items()
-            }
-        # (first_char, length) buckets for bounded fuzzy expansion
-        self._fuzzy_buckets: dict[tuple[str, int], list[str]] = defaultdict(list)
-        for t in self.postings:
-            self._fuzzy_buckets[(t[0], len(t))].append(t)
-        self.entries_ntok = np.asarray(self.entries_ntok, dtype=np.int32)
+            self.idf = np.log1p(max(1, n_entries) / np.maximum(1, df))
+
+        # (first char, length) fuzzy buckets: token ids in bucket-key order
+        self._tok_offs, self._tok_data = _utf8_buffers(self.tokens)
+        bkey = _fuzzy_keys(self._tok_offs, self._tok_data)
+        self._bucket_ids = np.argsort(bkey, kind="stable")
+        self._bucket_keys = bkey[self._bucket_ids]
+
+    def _token_ids(self, tokens: list[str]) -> np.ndarray:
+        """Token id per string (-1 when absent): a hash64 lookup, confirmed
+        by comparing the strings."""
+        import pyarrow.compute as pc
+
+        out = np.full(len(tokens), -1, dtype=np.int64)
+        q = np.asarray(tokens, dtype=object)
+        h = hash64(q)
+        i = np.minimum(np.searchsorted(self._tok_hash, h),
+                       len(self._tok_hash) - 1)
+        hit = np.flatnonzero(self._tok_hash[i] == h)
+        same = pc.equal(self.tokens.take(pa.array(i[hit])),
+                        pa.array(q[hit], pa.string())) \
+            .to_numpy(zero_copy_only=False)
+        out[hit[same]] = i[hit[same]]
+        return out
+
+    def _fuzzy_ids(self, tokens: list[str], max_edit: int) -> list[np.ndarray]:
+        """Per token: the ids of vocabulary tokens with the same first
+        character, length ±1, not equal to it and within ``max_edit``
+        (Levenshtein) — the cheap analog of Lucene's fuzzy term enumeration
+        (IndexManager.java:341-358).  A character-histogram lower bound
+        (bag distance ≤ edit distance) drops most of a bucket before the
+        exact ``levenshtein`` runs on the survivors."""
+        q = pa.array(tokens, pa.string())
+        qoffs, qdata = _utf8_buffers(q)
+        qkey = _fuzzy_keys(qoffs, qdata)
+        nq = len(tokens)
+        # candidate (query, token id) pairs: the length-1, length and
+        # length+1 buckets per query (the key's low bits are the length;
+        # query tokens are never empty, so length-1 cannot borrow)
+        one = np.uint64(1)
+        keys = np.stack([qkey - one, qkey, qkey + one], axis=1)
+        lo = np.searchsorted(self._bucket_keys, keys, "left")
+        hi = np.searchsorted(self._bucket_keys, keys, "right")
+        lens = (hi - lo).ravel()
+        pq_ = np.repeat(np.repeat(np.arange(nq), 3), lens)
+        cand = self._bucket_ids[_ranges(lo.ravel(), lens)]
+        if len(cand):
+            uniq, inv = np.unique(cand, return_inverse=True)
+            d = _char_hist(self._tok_offs, self._tok_data, uniq)[inv] \
+                - _char_hist(qoffs, qdata, np.arange(nq))[pq_]
+            bag = np.maximum(np.clip(d, 0, None).sum(1),
+                             np.clip(-d, 0, None).sum(1))
+            near = bag <= max_edit
+            pq_, cand = pq_[near], cand[near]
+        strs = self.tokens.take(pa.array(cand)).to_pylist()
+        ok = np.array([s != tokens[i] and levenshtein(tokens[i], s, max_edit)
+                       <= max_edit for i, s in zip(pq_.tolist(), strs)],
+                      dtype=bool)
+        pq_, cand = pq_[ok], cand[ok]
+        bounds = np.searchsorted(pq_, np.arange(nq + 1))
+        return [cand[bounds[i]:bounds[i + 1]] for i in range(nq)]
 
     def fuzzy_expand(self, token: str, max_edit: int = 1) -> list[str]:
         """Vocabulary tokens within edit distance (candidates bucketed by
-        first char and length±1 — the cheap analog of Lucene's fuzzy term
-        enumeration, IndexManager.java:341-358)."""
-        out = []
-        for dl in (-1, 0, 1):
-            for cand in self._fuzzy_buckets.get((token[0], len(token) + dl), ()):
-                if cand != token and levenshtein(token, cand, max_edit) <= max_edit:
-                    out.append(cand)
-        return out
+        first char and length±1)."""
+        if not token:
+            return []
+        ids = self._fuzzy_ids([token], max_edit)[0]
+        return self.tokens.take(pa.array(ids)).to_pylist()
 
-    def entity_type_of(self, uri: str) -> str:
-        """entity_type of the first entry with this uri ('' if unknown) —
-        O(1) dict lookup (the list.index scan was a 10^6-entity trap)."""
-        eid = self._uri_to_first_eid.get(uri)
-        return self.entries_type[eid] if eid is not None else ""
+    def postings_of(self, token: str) -> np.ndarray:
+        """Entry ids holding ``token`` (empty when it is not indexed)."""
+        t = int(self._token_ids([token])[0])
+        if t < 0:
+            return np.zeros(0, dtype=np.int32)
+        return self.entry_ids[self.offsets[t]:self.offsets[t + 1]]
 
-    def search_scored(self, mention: str, fuzzy: bool = True,
-                      max_edit: int = 1) -> list[tuple[int, float]]:
-        """Context-independent candidate scan → [(entry_id, base_score)].
+    def score_many(self, mentions: list[str], fuzzy: bool = True,
+                   max_edit: int = 1
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Context-independent candidate scan of a batch of mentions →
+        flat ``(mention offsets int64[n+1], entry ids, base scores)``;
+        mention i's candidates are ``[offsets[i]:offsets[i+1]]``, by entry id.
 
         Scoring: sum of idf over matched tokens, normalized by the larger of
         the mention/name token counts (OR-query TF-IDF), then blended 50/50
         with token-set Jaccard; exact normalized match pins to the top
-        (exact-mode post-filter analog, IndexManager.java:409-436).  The
-        result is cacheable per mention — context re-scoring happens in
-        ``finalize``."""
-        toks = tokenize_string(mention, remove_brackets=True)
-        if not toks:
-            return []
-        norm = " ".join(toks)
-        tokset = set(toks)
+        (exact-mode post-filter analog, IndexManager.java:409-436).  A
+        mention token missing from the index fuzzy-expands at half idf —
+        unless the GLOBAL vocabulary has it (shard-routed mode): then its
+        exact postings live on another shard, so this shard contributes
+        nothing, as the full index would have taken the exact branch.
+        Context re-scoring happens in ``finalize``."""
+        import pyarrow.compute as pc
 
-        acc: dict[int, float] = defaultdict(float)
-        for t in tokset:
-            ids = self.postings.get(t)
-            if ids is None and self._vocab is not None \
-                    and self._vocab.contains(t):
-                # the token exists in the GLOBAL vocabulary — its exact
-                # postings live on another shard, so this shard contributes
-                # nothing (and must NOT fuzzy-expand: the full index would
-                # have taken the exact branch)
-                continue
-            if ids is None and fuzzy:
-                for ft in self.fuzzy_expand(t, max_edit):
-                    fids = self.postings[ft]
-                    w = self.idf[ft] * 0.5  # fuzzy matches at half weight
-                    for eid in fids:
-                        acc[eid] += w
-                continue
-            if ids is None:
-                continue
-            w = self.idf[t]
-            for eid in ids:
-                acc[eid] += w
+        n = len(mentions)
+        tok_m: list[int] = []
+        tok_s: list[str] = []
+        norms: list[str] = []
+        n_uniq = np.zeros(n, dtype=np.int64)
+        n_tok = np.zeros(n, dtype=np.int64)
+        for i, m in enumerate(mentions):
+            toks = tokenize_string(m, remove_brackets=True)
+            uniq = list(dict.fromkeys(toks))
+            tok_s.extend(uniq)
+            tok_m.extend([i] * len(uniq))
+            norms.append(" ".join(toks))
+            n_uniq[i], n_tok[i] = len(uniq), len(toks)
+        tok_m_a = np.asarray(tok_m, dtype=np.int64)
+        tid = self._token_ids(tok_s)
 
-        results: list[tuple[int, float]] = []
-        for eid, s in acc.items():
-            name = self.entries_norm[eid]
-            denom = max(len(tokset), int(self.entries_ntok[eid]))
-            tfidf = s / max(1e-9, denom)
-            jac = jaccard(tokset, set(name.split()))
-            score = 0.5 * tfidf + 0.5 * jac
-            if name == norm:
-                score += 10.0  # exact normalized match dominates
-            results.append((eid, score))
-        return results
+        # contributions (mention, token id, weight, exact?) in token order
+        c_m, c_t = [tok_m_a[tid >= 0]], [tid[tid >= 0]]
+        c_w = [self.idf[c_t[0]]]
+        c_x = [np.ones(len(c_t[0]))]
+        miss = np.flatnonzero(tid < 0)
+        if fuzzy and len(miss) and self._vocab is not None:
+            miss = miss[~self._vocab.contains_many([tok_s[i] for i in miss])]
+        if fuzzy and len(miss):
+            words = list(dict.fromkeys(tok_s[i] for i in miss))
+            expand = dict(zip(words, self._fuzzy_ids(words, max_edit)))
+            for i in miss:
+                ft = expand[tok_s[i]]
+                c_m.append(np.full(len(ft), tok_m_a[i]))
+                c_t.append(ft)
+                c_w.append(self.idf[ft] * 0.5)  # fuzzy matches at half weight
+                c_x.append(np.zeros(len(ft)))
+        c_t_a = np.concatenate(c_t).astype(np.int64)
+        starts = self.offsets[c_t_a]
+        lens = self.offsets[c_t_a + 1] - starts
+        p_e = self.entry_ids[_ranges(starts, lens)].astype(np.int64)
+        p_m = np.repeat(np.concatenate(c_m).astype(np.int64), lens)
 
-    def context_bonus(self, eid: int, context_toksets: list[set[str]],
-                      refine_factor: float) -> float:
-        """Refine-attrs term for one entry — delegates to the pure
-        :func:`context_bonus_for` over the entry's attr token sets."""
-        return context_bonus_for(self.entries_attrs[eid], context_toksets,
-                                 refine_factor)
+        # segment sums per (mention, entry)
+        stride = max(1, len(self.entries_ntok))
+        key, inv = np.unique(p_m * stride + p_e, return_inverse=True)
+        acc = np.bincount(inv, weights=np.repeat(np.concatenate(c_w), lens),
+                          minlength=len(key))
+        inter = np.bincount(inv, weights=np.repeat(np.concatenate(c_x), lens),
+                            minlength=len(key))
+        m, e = key // stride, key % stride
+
+        nu, nn = n_uniq[m], self.entries_nuniq[e]
+        denom = np.maximum(nu, self.entries_ntok[e]).astype(np.float64)
+        tfidf = acc / np.maximum(1e-9, denom)
+        jac = inter / (nu + nn - inter)
+        scores = 0.5 * tfidf + 0.5 * jac
+        # exact normalized match: same distinct tokens and token count,
+        # then the strings compared
+        maybe = np.flatnonzero((inter == nu) & (nn == nu)
+                               & (self.entries_ntok[e] == n_tok[m]))
+        if len(maybe):
+            same = pc.equal(self.entries_norm.take(pa.array(e[maybe])),
+                            pa.array(norms, pa.string())
+                            .take(pa.array(m[maybe]))) \
+                .to_numpy(zero_copy_only=False)
+            scores[maybe[same]] += 10.0  # exact normalized match dominates
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(m, minlength=n), out=offsets[1:])
+        return offsets, e, scores
+
+    def search_scored(self, mention: str, fuzzy: bool = True,
+                      max_edit: int = 1) -> list[tuple[int, float]]:
+        """One mention's candidate scan → [(entry_id, base_score)] (see
+        :meth:`score_many`).  The result is cacheable per mention."""
+        _, eids, scores = self.score_many([mention], fuzzy, max_edit)
+        return list(zip(eids.tolist(), scores.tolist()))
+
+    def candidates(self, scored: list[tuple[int, float]],
+                   with_attrs: bool = True) -> list[tuple]:
+        """(entry_id, base) pairs → the index-free candidate form
+        [(entity_uri, base_score, name_norm, entity_type, attrs_toksets)]
+        (``attrs_toksets`` left empty unless ``with_attrs``)."""
+        ids = pa.array(np.asarray([e for e, _ in scored], dtype=np.int64))
+        attrs = [attrs_toksets(a) for a in
+                 self.entries_attrs.take(ids).to_pylist()] if with_attrs \
+            else [()] * len(scored)
+        return list(zip(self.entries_uri.take(ids).to_pylist(),
+                        (float(s) for _, s in scored),
+                        self.entries_norm.take(ids).to_pylist(),
+                        self.entries_type.take(ids).to_pylist(), attrs))
 
     def search_candidates(self, mention: str, fuzzy: bool = True,
                           max_edit: int = 1) -> list[tuple]:
@@ -543,9 +804,7 @@ class LabelIndex:
         form: [(entity_uri, base_score, name_norm, entity_type,
         attrs_toksets)] — everything :func:`finalize_candidates` needs, so
         shard partials can merge and context-rescore without any index."""
-        return [(self.entries_uri[eid], s, self.entries_norm[eid],
-                 self.entries_type[eid], self.entries_attrs[eid])
-                for eid, s in self.search_scored(mention, fuzzy, max_edit)]
+        return self.candidates(self.search_scored(mention, fuzzy, max_edit))
 
     def finalize(self, scored: list[tuple[int, float]], top_k: int,
                  context: list[str] | None = None,
@@ -553,11 +812,11 @@ class LabelIndex:
                  ) -> list[tuple[str, float, str, str]]:
         """(entry_id, base) candidates → deduped top-k via the pure
         :func:`finalize_candidates` (same semantics, shared with the
-        shard-routed gather so the two paths cannot drift)."""
-        cands = [(self.entries_uri[eid], s, self.entries_norm[eid],
-                  self.entries_type[eid], self.entries_attrs[eid])
-                 for eid, s in scored]
-        return finalize_candidates(cands, top_k, context, refine_factor)
+        shard-routed gather so the two paths cannot drift).  Attr token
+        sets are parsed only when the context term can apply."""
+        with_attrs = bool(context) and refine_factor > 0.0 and len(scored) > 1
+        return finalize_candidates(self.candidates(scored, with_attrs),
+                                   top_k, context, refine_factor)
 
     def search(self, mention: str, top_k: int = 10, fuzzy: bool = True,
                max_edit: int = 1, context: list[str] | None = None,
@@ -631,8 +890,10 @@ def finalize_candidates(cands: list[tuple], top_k: int,
         rows = [(u, s, n, e) for u, s, n, e, _ in cands]
     # rank by the score ROUNDED to 9 decimals with uri tie-break — the
     # exact ordering the SQL oracle uses, so a float-summation drift
-    # inside the rounding window can never flip the top-1 between sides
-    rows.sort(key=lambda r: (-round(r[1], 9), r[0]))
+    # inside the rounding window can never flip the top-1 between sides.
+    # name_norm breaks the last tie (one entity's labels at one score), so
+    # the order is total: matched_name never depends on arrival order
+    rows.sort(key=lambda r: (-round(r[1], 9), r[0], r[2]))
     # dedup per entity uri keeping best name (per-(value,table) dedup analog)
     seen: set[str] = set()
     out = []

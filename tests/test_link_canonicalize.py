@@ -612,12 +612,13 @@ def test_shard_routed_index_exact_scores(ray_session, tmp_path):
     full = IX.LabelIndex(d)
     vocab = IX.VocabStats(d)
     assert vocab.n_entries == len(full.entries_uri)
+    full_idf = dict(zip(full.tokens.to_pylist(), full.idf.tolist()))
     seen_tokens = set()
     for s in IX.index_meta(d)["shards"]:
         sh = IX.LabelIndex(d, shards=[s], vocab=vocab)
-        for t, v in sh.idf.items():
-            assert abs(v - full.idf[t]) < 1e-12, t
-        seen_tokens.update(sh.postings)
+        for t, v in zip(sh.tokens.to_pylist(), sh.idf.tolist()):
+            assert abs(v - full_idf[t]) < 1e-12, t
+        seen_tokens.update(sh.tokens.to_pylist())
         # candidate scores per shard == full-index scores, keyed by ENTRY
         # (uri, matched norm) — one uri's label and alias entries can land
         # on different shards
@@ -627,7 +628,7 @@ def test_shard_routed_index_exact_scores(ray_session, tmp_path):
                     full.search_candidates(label)}
             for u, sc, nm, *_ in sh.search_candidates(label):
                 assert round(sc, 9) == want[(u, nm)], (label, u, nm)
-    assert seen_tokens == set(full.postings)
+    assert seen_tokens == set(full_idf)
     # global-vocab fuzzy trigger: a token exact-present only on OTHER shards
     # must contribute nothing here, not fuzzy-expand
     from mannheimsearchjoinsengine_ray.functions.normalize import (
@@ -636,11 +637,11 @@ def test_shard_routed_index_exact_scores(ray_session, tmp_path):
 
     s0 = IX.index_meta(d)["shards"][0]
     sh0 = IX.LabelIndex(d, shards=[s0], vocab=vocab)
-    remote_only = next(t for t in sorted(set(full.postings)
-                                         - set(sh0.postings))
+    remote_only = next(t for t in sorted(set(full_idf)
+                                         - set(sh0.tokens.to_pylist()))
                        if tokenize_string(t) == [t])
     assert vocab.contains(remote_only)
-    assert vocab.df_of(remote_only) == len(full.postings[remote_only])
+    assert vocab.df_of(remote_only) == len(full.postings_of(remote_only))
     assert sh0.search_scored(remote_only, fuzzy=True) == []
     # ...while the full index scores it exactly (no fuzzy detour either way)
     assert full.search_scored(remote_only, fuzzy=True)
