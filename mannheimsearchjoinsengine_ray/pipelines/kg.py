@@ -94,9 +94,10 @@ def materialize_triples(triples, out_dir: str,
       the triple set): each task splits its block by part = hash64(subj) %
       num_partitions and appends one run file per partition under
       ``out_dir/_runs/part=P/``;
-      stage B: one task per non-empty partition merges its runs and commits
-      via :func:`materialize.write_partition` (sort + atomic rename +
-      manifest).
+      stage B: each non-empty partition merges its runs and commits via
+      :func:`materialize.write_partition` (sort + atomic rename +
+      manifest); the partitions are dealt over at most one task per CPU
+      slot.
 
     Run files are Arrow IPC, uncompressed by default — they live only
     between the two stages, and parquet encode/decode was the dominant cost
@@ -123,12 +124,12 @@ def materialize_triples(triples, out_dir: str,
 
     Head-entity skew (dbpedia/schema.org-style subjects, SURVEY §4): a
     partition whose stage-A total exceeds ``split_rows`` (default
-    ``GRAFT_PART_SPLIT_ROWS`` or 4M) is NOT sorted by one task.  Its merge
-    splits into ceil(total/split_rows) range sub-tasks: boundaries come from
-    per-run key samples ((subj, pred, obj) quantiles — the obj tiebreaker
-    lets one head subject span sub-files while each file, and the file
-    sequence, stays (subj, pred)-sorted), each sub-task filters its runs to
-    its key range and writes one sorted ``data-{j:05d}.parquet`` into the
+    ``GRAFT_PART_SPLIT_ROWS`` or 4M) is NOT sorted as one unit.  Its merge
+    splits into ceil(total/split_rows) key ranges, dealt to different merge
+    tasks: boundaries come from per-run key samples ((subj, pred, obj)
+    quantiles — the obj tiebreaker lets one head subject span sub-files
+    while each file, and the file sequence, stays (subj, pred)-sorted), each
+    range filters its runs to its keys and writes one sorted ``data-{j:05d}.parquet`` into the
     partition's staging dir, and the driver commits the rename + manifest
     once — the partition directory stays the unit of commit.
 
@@ -289,7 +290,7 @@ def materialize_triples(triples, out_dir: str,
                   len(boundaries), split_rows,
                   {p: len(b) + 1 for p, b in boundaries.items()})
 
-    # one work row per merge task: sub == -1 is the whole-partition path,
+    # one work row per merge unit: sub == -1 is the whole-partition path,
     # sub >= 0 merges one (subj, pred, obj) key range of a heavy partition
     work_rows: list[dict] = []
     for p in live_parts:
@@ -358,9 +359,16 @@ def materialize_triples(triples, out_dir: str,
     stats: list[dict] = []
     if work_rows:
         import pandas as _pd
+        import ray as _ray
 
-        parts_ds = rd.from_pandas(_pd.DataFrame(work_rows))
-        parts_ds = parts_ds.repartition(len(work_rows))
+        # at most one merge task per CPU slot, built straight as blocks (no
+        # repartition exchange): work rows are dealt round-robin, so a heavy
+        # partition's consecutive sub-ranges land in different tasks, and
+        # finalize loops over the rows of its block
+        n_tasks = max(1, min(len(work_rows),
+                             int(_ray.cluster_resources().get("CPU", 1))))
+        parts_ds = rd.from_pandas([_pd.DataFrame(work_rows[i::n_tasks])
+                                   for i in range(n_tasks)])
         results = parts_ds.map_batches(finalize, batch_format="pyarrow",
                                        batch_size=None).take_all()
         sub_acc: dict[int, list[dict]] = {}

@@ -3,19 +3,20 @@ per-component value resolution.
 
 Replaces the reference's duplicate machinery (SURVEY §2.5):
   * FastJoin external fuzzy matcher (SJ/utils/FastJoinWrapper.java:83-196) →
-    MinHash-LSH blocking (shingle → signature → band keys → groupby(band))
-    with Jaccard verification;
+    MinHash-LSH blocking (shingle → signature → band keys → vectorized
+    pairs per band) with Jaccard verification;
   * MatchClustering.clusterMatchesAgglomerative (:182-314) → iterative
     min-label propagation connected components over the match edges;
   * DuplicateResolver.resolveDuplicates/mergeColumns (:36-84, 219-362) →
-    groupby(component).map_groups value resolution (string voting/longest,
-    numeric median/average/voting, date mean — config enums preserved).
+    per-component value resolution over one bucket_map exchange (string
+    voting/longest, numeric median/average/voting, date mean — config enums
+    preserved).
 
 Scale notes:
   * blocking shuffle key = (band_idx, band_hash); head bands (stopword-ish
-    shingles) are salted by capping candidate-group size (``max_block``) —
-    oversized blocks are re-split by a secondary hash, the two-level
-    aggregation analog for skew;
+    shingles) are capped by candidate-group size (``max_block``) — an
+    oversized block pairs only with its minimum id (a star), so its pair
+    count is linear, not quadratic;
   * connected components: labels propagate via groupby-min until fixpoint
     (≤ cc_max_iterations); each iteration is one hash-join + one groupby —
     the alias graph is orders of magnitude smaller than the corpus;
@@ -89,31 +90,46 @@ def lsh_block_batch(batch: pa.Table, num_perm: int = 64,
 _BAND_COLS = ("band_idx", "band_hash", "id")
 
 
-def _pairs_from_group(group: pd.DataFrame, max_block: int = 50) -> pd.DataFrame:
-    """Band-bucket rows → unordered candidate pairs.  PAYLOAD-GENERIC: every
-    column besides (band_idx, band_hash, id) rides along as left_<col> /
-    right_<col> — callers choose what the verify stage needs in the shuffle
-    (short label strings, an 8-byte simhash, a binary vector) or carry
-    NOTHING and join payloads back by id (stages/dedup.attach_pair_payloads,
-    the right shape when the payload is full document text)."""
-    g = group.drop_duplicates("id").sort_values("id")
-    payload = [c for c in g.columns if c not in _BAND_COLS]
-    k = len(g)
-    if k < 2:
-        data = {"left_id": pd.Series(dtype=group["id"].dtype),
-                "right_id": pd.Series(dtype=group["id"].dtype)}
+def _band_pairs(blocked: pd.DataFrame, max_block: int = 50) -> pd.DataFrame:
+    """Band rows → unordered candidate pairs for every (band_idx, band_hash)
+    group at once: one dedupe, one sort, group bounds and all pair indices
+    from numpy — no per-group Python.  Within a group, a repeated id keeps
+    its first row; a group of k ≤ ``max_block`` ids pairs every i < j (in id
+    order), a larger one pairs its minimum id with each other id (a star:
+    O(k) edges, same components).
+
+    PAYLOAD-GENERIC: every column besides (band_idx, band_hash, id) rides
+    along as left_<col> / right_<col> — callers choose what the verify stage
+    needs in the shuffle (short label strings, an 8-byte simhash, a binary
+    vector) or carry NOTHING and join payloads back by id
+    (stages/dedup.attach_pair_payloads, the right shape when the payload is
+    full document text)."""
+    payload = [c for c in blocked.columns if c not in _BAND_COLS]
+    g = blocked.drop_duplicates(list(_BAND_COLS)).sort_values(list(_BAND_COLS))
+    n = len(g)
+    bi = g["band_idx"].to_numpy()
+    bh = g["band_hash"].to_numpy()
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = (bi[1:] != bi[:-1]) | (bh[1:] != bh[:-1])
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(np.append(starts, n))
+    # pairs each row opens as the left side: k-1-i in a clique, k-1 for a
+    # star's first row and none for its other rows
+    pos = np.arange(n) - np.repeat(starts, sizes)
+    k = np.repeat(sizes, sizes)
+    fan = np.where(k <= max_block, k - 1 - pos, np.where(pos == 0, k - 1, 0))
+    li = np.repeat(np.arange(n), fan)
+    run_start = np.repeat(np.cumsum(fan) - fan, fan)
+    ri = li + 1 + (np.arange(len(li)) - run_start)
+    if not len(li):
+        data = {"left_id": pd.Series(dtype=blocked["id"].dtype),
+                "right_id": pd.Series(dtype=blocked["id"].dtype)}
         for c in payload:
-            data[f"left_{c}"] = pd.Series(dtype=g[c].dtype)
-            data[f"right_{c}"] = pd.Series(dtype=g[c].dtype)
+            data[f"left_{c}"] = pd.Series(dtype=blocked[c].dtype)
+            data[f"right_{c}"] = pd.Series(dtype=blocked[c].dtype)
         return pd.DataFrame(data)
-    if k <= max_block:
-        li, ri = np.triu_indices(k, 1)
-    else:
-        # star around the minimum id — O(n) edges, same components
-        li = np.zeros(k - 1, dtype=np.int64)
-        ri = np.arange(1, k, dtype=np.int64)
-    data = {"left_id": g["id"].to_numpy()[li],
-            "right_id": g["id"].to_numpy()[ri]}
+    ids = g["id"].to_numpy()
+    data = {"left_id": ids[li], "right_id": ids[ri]}
     for c in payload:
         v = g[c].to_numpy()
         data[f"left_{c}"] = v[li]
@@ -122,18 +138,19 @@ def _pairs_from_group(group: pd.DataFrame, max_block: int = 50) -> pd.DataFrame:
 
 
 def candidate_pairs(blocked_ds, max_block: int = 50, bloom_bits: int = 1 << 22):
-    """groupby(band) → unordered candidate pairs.  Blocks larger than
-    ``max_block`` are truncated after sorting by id (deterministic) — the
-    skew guard; every member still pairs with the block minimum so the
-    component structure survives (star pattern instead of clique).
+    """Band rows → unordered candidate pairs (``_band_pairs`` per hash
+    bucket of (band_idx, band_hash)).  Blocks larger than ``max_block`` pair
+    only with their minimum id — the skew guard; the component structure
+    survives (star pattern instead of clique).
 
     Almost every (band_idx, band_hash) key is a singleton that cannot yield a
-    pair; since map_groups pays per-group overhead, singletons are dropped
-    FIRST.  The duplicated-band-key set is found WITHOUT a high-cardinality
-    Ray aggregate: per-batch pandas counts reduce through a CONSTANT-bucket
-    shuffle; each bucket emits its pair-producing keys as an OR-mergeable
-    Bloom PARTIAL, so what reaches the driver is bounded by the FIXED filter
-    size, never by the duplicate count.  Bloom false positives only let a
+    pair, so singletons are dropped before the exchange: it then moves only
+    the rows of pair-producing bands.  The duplicated-band-key set is found
+    WITHOUT a high-cardinality Ray aggregate: per-batch pandas counts
+    reduce through a CONSTANT-bucket shuffle; each bucket emits its
+    pair-producing keys as an OR-mergeable Bloom PARTIAL, so what reaches
+    the driver is bounded by the FIXED filter size, never by the duplicate
+    count.  Bloom false positives only let a
     few singleton bands through the semi-filter — singleton groups yield no
     pairs, so the result stays exact."""
     import ray
@@ -162,7 +179,7 @@ def candidate_pairs(blocked_ds, max_block: int = 50, bloom_bits: int = 1 << 22):
         "band_key", 16, hot_bloom).to_pandas()
     if parts.empty or int(parts["n_hot"].sum()) == 0:
         return blocked_ds.limit(0).map_batches(
-            lambda g: _pairs_from_group(g, max_block), batch_format="pandas")
+            lambda g: _band_pairs(g, max_block), batch_format="pandas")
     bloom = np.zeros(bloom_bits // 8, dtype=np.uint8)
     for b in parts["bloom"]:
         bloom |= np.frombuffer(b, dtype=np.uint8)
@@ -175,10 +192,12 @@ def candidate_pairs(blocked_ds, max_block: int = 50, bloom_bits: int = 1 << 22):
     # exchange width derived from the MEASURED hot-band bytes (a fixed 8
     # capped the pair-producing reduce stage at any scale)
     hot = blocked_ds.map_batches(semi, batch_format="pandas").materialize()
-    return hot.repartition(auto_bucket_count(hot)) \
-        .groupby(["band_idx", "band_hash"]) \
-        .map_groups(lambda g: _pairs_from_group(g, max_block),
-                    batch_format="pandas")
+
+    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        return _band_pairs(g, max_block)
+
+    return bucket_map(hot, ["band_idx", "band_hash"], auto_bucket_count(hot),
+                      band_pairs)
 
 
 def _verify_df(df: pd.DataFrame, min_jaccard: float) -> pd.DataFrame:
@@ -215,27 +234,10 @@ def alias_edges_local(labels_df: pd.DataFrame,
         return pd.DataFrame({"left_id": [], "right_id": [], "jaccard": []})
     blocker = LshBlocker(cfg.minhash_num_perm, cfg.minhash_bands)
     blocked = blocker(pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
-    # singleton bands can't produce pairs — drop them vectorized before the
-    # per-group python work (almost all bands are singletons)
+    # singleton bands can't produce pairs — drop them by hash before the
+    # pair generator's sort (almost all bands are singletons)
     blocked = blocked[blocked.duplicated(["band_idx", "band_hash"], keep=False)]
-    L: list = []
-    R: list = []
-    LN: list = []
-    RN: list = []
-    for _, g in blocked.groupby(["band_idx", "band_hash"], sort=False):
-        g = g.drop_duplicates("id").sort_values("id")
-        ids = g["id"].tolist()
-        names = g["name"].tolist()
-        if len(ids) < 2:
-            continue
-        rng = range(len(ids)) if len(ids) <= 50 else range(1)
-        for i in rng:
-            for j in range(i + 1, len(ids)):
-                L.append(ids[i]); R.append(ids[j])
-                LN.append(names[i]); RN.append(names[j])
-    pairs = pd.DataFrame({"left_id": L, "right_id": R,
-                          "left_name": LN, "right_name": RN})
-    pairs = pairs.drop_duplicates(["left_id", "right_id"])
+    pairs = _band_pairs(blocked).drop_duplicates(["left_id", "right_id"])
     return _verify_df(pairs, mj)
 
 
@@ -552,22 +554,28 @@ def resolve_date(values: list) -> "pd.Timestamp | None":
 
 def resolve_components(values_ds, value_type: str = "string",
                        cfg: PipelineConfig = DEFAULT_CONFIG):
-    """(component, value) Dataset → (component, canonical_value).  One group
-    per component; the merge functions are the DuplicateResolver resolutions
-    (:294-355) with deterministic tie-breaks."""
+    """(component, value) Dataset → (component, canonical_value).  One
+    ``bucket_map`` exchange by component, one pandas groupby per bucket; the
+    merge functions are the DuplicateResolver resolutions (:294-355) with
+    deterministic tie-breaks."""
+    if value_type == "numeric":
+        prep = lambda s: pd.to_numeric(s, errors="coerce")
+        merge = lambda v: resolve_numeric(v, cfg.numeric_resolution)
+    elif value_type == "date":
+        prep, merge = (lambda s: s), resolve_date
+    else:
+        prep = lambda s: s.astype(str)
+        merge = lambda v: resolve_string(v, cfg.string_resolution)
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        comp = g["component"].iloc[0]
-        if value_type == "numeric":
-            canon = resolve_numeric(list(pd.to_numeric(g["value"], errors="coerce")),
-                                    cfg.numeric_resolution)
-        elif value_type == "date":
-            canon = resolve_date(list(g["value"]))
-        else:
-            canon = resolve_string(list(g["value"].astype(str)), cfg.string_resolution)
-        return pd.DataFrame({"component": [comp], "canonical_value": [canon]})
+        groups = prep(g["value"]).groupby(g["component"], sort=False,
+                                          dropna=False)
+        return pd.DataFrame([(comp, merge(list(v))) for comp, v in groups],
+                            columns=["component", "canonical_value"])
 
-    return values_ds.groupby("component").map_groups(resolve, batch_format="pandas")
+    values_ds = values_ds.materialize()
+    return bucket_map(values_ds, "component", auto_bucket_count(values_ds),
+                      resolve)
 
 
 # ---------------------------------------------------------------------------

@@ -227,18 +227,11 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
     Skew mechanics: hot LEFT rows spread over ``salt`` sub-buckets while hot
     RIGHT rows REPLICATE into every sub-bucket — the classic salted join,
     equivalence-tested against the unsalted join."""
-    left_cols = _schema_names(left_ds)
-    right_cols = _schema_names(right_ds)
-    shared = (set(left_cols) - {left_on}) & (set(right_cols) - {right_on})
-    if shared:
-        raise ValueError(f"overlapping non-key columns: {shared}")
-    all_cols = sorted((set(left_cols) - {left_on}) | (set(right_cols) - {right_on}))
-    restore = _dtype_restorer([_schema_dtypes(left_ds), _schema_dtypes(right_ds)],
-                              rename={right_on: left_on})
-
     if bucket_count is None:
         # full auto: materialize (the shuffle reads every row anyway), size
-        # B from bytes, and skew-scan the probe side above the row threshold
+        # B from bytes, and skew-scan the probe side above the row threshold.
+        # The schema reads below come after, so they are metadata — read
+        # from a lazy side they would execute it once more under a limit
         left_ds = left_ds.materialize()
         right_ds = right_ds.materialize()
         bucket_count = auto_bucket_count(
@@ -256,6 +249,14 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
                                "hot_keys": set(hot_keys or ())})
     if salt is None:
         salt = 1
+    left_cols = _schema_names(left_ds)
+    right_cols = _schema_names(right_ds)
+    shared = (set(left_cols) - {left_on}) & (set(right_cols) - {right_on})
+    if shared:
+        raise ValueError(f"overlapping non-key columns: {shared}")
+    all_cols = sorted((set(left_cols) - {left_on}) | (set(right_cols) - {right_on}))
+    restore = _dtype_restorer([_schema_dtypes(left_ds), _schema_dtypes(right_ds)],
+                              rename={right_on: left_on})
 
     use_salt = salt > 1 and hot_keys
     if use_salt:
@@ -339,12 +340,13 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
     whether their key has a match on the right.  The right side ships only
     its per-batch-deduped KEYS (map-side combine), so the shuffle volume is
     bounded by distinct keys, not fact-table rows."""
-    left_cols = _schema_names(left_ds)
-    restore = _dtype_restorer([_schema_dtypes(left_ds)])
-
     if bucket_count is None:
+        # materialized first: the schema reads are then metadata, not a
+        # limit-1 execution of a lazy side
         left_ds = left_ds.materialize()
         bucket_count = auto_bucket_count(left_ds)
+    left_cols = _schema_names(left_ds)
+    restore = _dtype_restorer([_schema_dtypes(left_ds)])
 
     lt = _arrow_types(left_ds)
     if _join_impl() == "arrow" and lt is not None:
@@ -451,6 +453,12 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
     per bucket — the range-join pattern from the Ray guide.  One
     ``bucket_map`` exchange; ordering assumption: ts sortable within a bucket's memory.
     ``bucket_count=None`` derives B from measured input bytes."""
+    if bucket_count is None:
+        # materialized first: the schema reads are then metadata, not a
+        # limit-1 execution of a lazy side
+        left_ds = left_ds.materialize()
+        right_ds = right_ds.materialize()
+        bucket_count = auto_bucket_count(left_ds, right_ds)
     left_cols = _schema_names(left_ds)
     right_cols = _schema_names(right_ds)
     shared = (set(left_cols) - {left_on}) & (set(right_cols) - {right_on})
@@ -459,11 +467,6 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
     all_cols = sorted((set(left_cols) - {left_on}) | (set(right_cols) - {right_on}))
     restore = _dtype_restorer([_schema_dtypes(left_ds), _schema_dtypes(right_ds)],
                               rename={right_on: left_on})
-
-    if bucket_count is None:
-        left_ds = left_ds.materialize()
-        right_ds = right_ds.materialize()
-        bucket_count = auto_bucket_count(left_ds, right_ds)
 
     l2 = _prep(left_ds, left_on, 0, all_cols)
     r2 = _prep(right_ds, right_on, 1, all_cols)

@@ -163,3 +163,25 @@ def test_bucket_column_only_in_aggregates():
         and p.relative_to(PACKAGE).as_posix() != "stages/aggregates.py"
     ]
     assert offenders == [], f"hand-rolled bucket exchange in {offenders}"
+
+
+# ``.map_groups(`` outside the exchange itself is one Ray task per group;
+# these sites keep it on purpose, one group per output file
+MAP_GROUPS_SITES = {
+    "stages/aggregates.py",  # the bucket_map exchange
+    "stages/ann.py",  # one IVF partition file per centroid
+    "state/index.py",  # one index file per shard
+    "pipelines/queries.py",  # one top-k frame per market segment
+}
+
+
+def test_map_groups_only_at_one_group_per_output_sites():
+    """A keyed exchange goes through ``bucket_map``; ``.map_groups(``
+    appears only in the exchange and the one-group-per-output-file sites."""
+    offenders = [
+        str(p.relative_to(PACKAGE))
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if ".map_groups(" in p.read_text(encoding="utf-8")
+        and p.relative_to(PACKAGE).as_posix() not in MAP_GROUPS_SITES
+    ]
+    assert offenders == [], f"per-group map_groups in {offenders}"

@@ -445,6 +445,47 @@ class TestResolution:
         m = dict(zip(out["component"], out["canonical_value"]))
         assert m["c1"] == "red"
 
+    @pytest.mark.parametrize("value_type", ["string", "numeric", "date"])
+    def test_resolve_components_many(self, ray_session, value_type):
+        """Many components spread over several input blocks: each resolves
+        exactly once, to what the scalar resolution gives its values."""
+        import ray.data as rd
+
+        rng = np.random.default_rng(7)
+        comps, values = [], []
+        for c in range(40):
+            for _ in range(int(rng.integers(1, 6))):
+                comps.append(f"c{c:02d}")
+                if value_type == "numeric":
+                    values.append(None if rng.random() < 0.1
+                                  else str(int(rng.integers(0, 5))))
+                elif value_type == "date":
+                    values.append(f"2001-0{int(rng.integers(1, 10))}-1"
+                                  f"{int(rng.integers(0, 10))}")
+                else:
+                    values.append(["red", "rouge", "", "null"][
+                        int(rng.integers(0, 4))])
+        vals = pd.DataFrame({"component": comps, "value": values})
+        shuffled = vals.sample(frac=1.0, random_state=3)
+        ds = rd.from_pandas([shuffled.iloc[i::4] for i in range(4)])
+        out = C.resolve_components(ds, value_type).to_pandas()
+        assert sorted(out["component"]) == sorted(vals["component"].unique())
+        got = dict(zip(out["component"], out["canonical_value"]))
+        for comp, grp in vals.groupby("component"):
+            if value_type == "numeric":
+                want = C.resolve_numeric(
+                    list(pd.to_numeric(grp["value"], errors="coerce")),
+                    DEFAULT_CONFIG.numeric_resolution)
+                if want is None:
+                    assert pd.isna(got[comp]), comp
+                else:
+                    assert got[comp] == pytest.approx(want), comp
+            elif value_type == "date":
+                assert got[comp] == C.resolve_date(list(grp["value"])), comp
+            else:
+                assert got[comp] == C.resolve_string(
+                    list(grp["value"]), DEFAULT_CONFIG.string_resolution), comp
+
 
 def test_lsh_blocking_finds_near_dups(ray_session):
     import ray.data as rd
