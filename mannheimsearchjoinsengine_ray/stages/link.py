@@ -1,4 +1,4 @@
-"""Entity linking: mention Dataset → edge Dataset via a stateful actor pool.
+"""Entity linking: mention Dataset → edge Dataset.
 
 Re-expresses the reference's search join core (SearchJoin.findJoinsForColumnFast,
 SJ/searchjoin/SearchJoin.java:547-855): per key cell, search the value index
@@ -7,10 +7,14 @@ JoinResult-style records (accumulation :827-840) ranked by the ScoreEvaluator
 modes (SJ/scoring/ScoreEvaluator.java:48-122).
 
 Ray design (SURVEY §3.2): the hand-rolled producer/consumer + bounded queue
-backpressure (:398-410) disappears — mentions stream through
-``map_batches(LinkerActor, concurrency=N)`` with executor backpressure; the
-"group by entity table" thread becomes a groupby shuffle over the edge
-Dataset.
+backpressure (:398-410) disappears.  Each DISTINCT mention resolves once
+cluster-wide (``resolve_mentions_batch``, or the shard-routed scatter-gather
+for a large KB), and stateless tasks merge the resolved rows back into the
+mention stream (``merge_links_batch`` over a broadcast table, or one
+hash(mention) bucket exchange when the resolved set is too large to
+broadcast).  Every path ends in the one set-at-a-time merge core
+``_link_rows``; the "group by entity table" thread becomes a groupby
+shuffle over the edge Dataset.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
+from ..functions.normalize import tokenize_string
 from ..state.index import (
+    _ATTR_SEP,
     LabelIndex,
-    attrs_toksets,
-    finalize_candidates,
+    _ranges,
     has_attr_tokens,
     rank_keys,
     score_gaps,
@@ -53,6 +59,59 @@ MENTION_SCHEMA = pa.schema([
 
 _MAX_CONTEXT_CELLS = 8
 
+# every character Python's str.isspace() accepts: a key cell made only of
+# these is blank (``not k.strip()``).  Spelled out because Arrow's own
+# whitespace class is not guaranteed to be Python's.
+PY_WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                 "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+                 "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
+def _lengths(col) -> np.ndarray:
+    """Per list (null = 0): its length, as int64 numpy."""
+    return pc.fill_null(pc.list_value_length(col), 0) \
+        .to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _starts(lens: np.ndarray) -> np.ndarray:
+    return np.cumsum(lens) - lens
+
+
+def _list_column(offsets: np.ndarray, values: pa.Array) -> pa.Array:
+    return pa.ListArray.from_arrays(pa.array(offsets.astype(np.int32)),
+                                    values)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offs = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offs[1:])
+    return offs
+
+
+def _key_idx(batch: pa.Table) -> np.ndarray:
+    return pc.fill_null(batch.column("key_idx"), -1) \
+        .to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _key_cells(batch: pa.Table) -> tuple:
+    """Table records → every key cell flattened: (its table, its row index,
+    the cells, whether it is a mention).  A mention is a non-blank cell
+    (Python ``k and k.strip()``) of a table with a key (``has_key`` and
+    ``key_idx`` >= 0)."""
+    key_idx = _key_idx(batch)
+    keyed = pc.fill_null(batch.column("has_key"), False) \
+        .to_numpy(zero_copy_only=False) & (key_idx >= 0)
+    keys_col = batch.column("raw_keys").combine_chunks()
+    klen = _lengths(keys_col)
+    k_tab = np.repeat(np.arange(batch.num_rows), klen)
+    k_pos = np.arange(len(k_tab)) - np.repeat(_starts(klen), klen)
+    keys = pc.list_flatten(keys_col)
+    blank = pc.equal(pc.binary_length(pc.utf8_trim(
+        keys, characters=PY_WHITESPACE)), 0)
+    keep = keyed[k_tab] & ~pc.fill_null(blank, True) \
+        .to_numpy(zero_copy_only=False)
+    return k_tab, k_pos, keys, keep
+
 
 def mentions_from_tables_batch(batch: pa.Table) -> pa.Table:
     """Table records (stages.extract) → one mention per key cell, carrying the
@@ -61,185 +120,50 @@ def mentions_from_tables_batch(batch: pa.Table) -> pa.Table:
     IndexManager.findRefineAttrsMatches :677-746).
 
     ``context`` travels as ONE '\\x1f'-joined string, not a list column —
-    mentions are ~one per corpus row, so the per-row Arrow list overhead and
-    the per-cell Python appends were measurable at 64k pages; the linker
-    splits the string only for the rare rows whose margin gate passes."""
-    urls = batch.column("url").to_pylist()
-    tids = batch.column("table_idx").to_pylist()
-    key_idx = batch.column("key_idx").to_pylist()
-    has_key = batch.column("has_key").to_pylist()
-    raw_keys = batch.column("raw_keys").to_pylist()
-    rows_col = batch.column("rows").to_pylist() \
-        if "rows" in batch.column_names else [None] * len(urls)
-    out = {"url": [], "table_idx": [], "row_idx": [], "mention": [],
-           "context": []}
-    for url, ti, ki, hk, keys, rows in zip(urls, tids, key_idx, has_key,
-                                           raw_keys, rows_col):
-        if not hk or ki < 0:
-            continue
-        for ri, k in enumerate(keys):
-            if k and k.strip():
-                out["url"].append(url)
-                out["table_idx"].append(ti)
-                out["row_idx"].append(ri)
-                out["mention"].append(k)
-                if rows is not None and ri < len(rows):
-                    cells = rows[ri]
-                    # filter the key/empty cells FIRST, then cap — slicing
-                    # before the filter under-caps whenever key_idx falls
-                    # outside the slice (wide tables carried 9 cells)
-                    ctx_cells = [c for ci, c in enumerate(cells)
-                                 if ci != ki and c and c != "null"]
-                    ctx = CONTEXT_SEP.join(ctx_cells[:_MAX_CONTEXT_CELLS])
-                else:
-                    ctx = ""
-                out["context"].append(ctx)
-    return pa.Table.from_pydict(out, schema=MENTION_SCHEMA)
+    mentions are ~one per corpus row, so the per-row Arrow list overhead was
+    measurable at 64k pages; the linker splits the string only for the rare
+    rows whose margin gate passes.  Built with Arrow list ops: a table
+    without a key (``has_key`` false or ``key_idx`` < 0) emits nothing, a
+    blank key cell (Python ``not k.strip()``) is skipped, and a row's
+    context drops the key cell, empty cells and ``"null"`` FIRST and then
+    keeps at most ``_MAX_CONTEXT_CELLS`` (capping before the filter
+    under-caps whenever ``key_idx`` falls outside the cap)."""
+    key_idx = _key_idx(batch)
+    k_tab, k_pos, keys, keep = _key_cells(batch)
+    m_tab, m_row = k_tab[keep], k_pos[keep]
+    n = len(m_tab)
 
-
-class LinkerActor:
-    """Stateful linker: loads the sharded label index ONCE per actor
-    (__init__), links a batch of mentions per __call__.
-
-    Pass to ``map_batches(LinkerActor, fn_constructor_kwargs=...,
-    concurrency=N, batch_size=B)``.  With a per-actor mention cache, repeated
-    head mentions (skew) short-circuit — the salting analog for the linking
-    stage."""
-
-    def __init__(self, index_dir: str, top_k: int = 5,
-                 max_edit: int = 1, fuzzy: bool = True,
-                 refine_factor: float = 0.0):
-        self.index = LabelIndex(index_dir)
-        self.top_k = top_k
-        self.max_edit = max_edit
-        self.fuzzy = fuzzy
-        self.refine_factor = refine_factor
-        # caches, per mention string: the context-independent candidate scan,
-        # its finalized no-context hits, the top-two base-score gap, and
-        # whether any candidate carries indexed attrs.  Per ROW only an
-        # O(context cells) margin check runs — the full context re-score
-        # happens solely when it could flip the top entity (ties within the
-        # attainable bonus), so repeated head mentions stay cached
-        self._cache: dict[str, tuple] = {}
-
-    def _entry_for(self, m: str) -> tuple:
-        entry = self._cache.get(m)
-        if entry is None:
-            scored = self.index.search_scored(m, fuzzy=self.fuzzy,
-                                              max_edit=self.max_edit)
-            base_hits = self.index.finalize(scored, self.top_k)
-            if len(scored) > 1:
-                top2 = sorted(s for _, s in scored)[-2:]
-                gap = top2[1] - top2[0]
-            else:
-                gap = float("inf")
-            has_attrs = bool(self.index.entries_has_attrs[
-                [eid for eid, _ in scored]].any())
-            entry = (scored, base_hits, gap, has_attrs)
-            if len(self._cache) < 200_000:
-                self._cache[m] = entry
-        return entry
-
-    @staticmethod
-    def _hit_arrays(hits) -> tuple:
-        k = len(hits)
-        return (np.array([h[0] for h in hits], dtype=object),
-                np.array([h[1] for h in hits], dtype=np.float64),
-                np.arange(k, dtype=np.int32),
-                np.array([h[2] for h in hits], dtype=object),
-                np.array([h[3] for h in hits], dtype=object))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """Batch-vectorized linking: DISTINCT mentions resolve once
-        (factorize → per-unique cached index scan + hit arrays), the margin
-        gate evaluates as one numpy expression, and edges assemble by array
-        concatenation in original row order — the per-row python work is one
-        list-of-array-refs append, not k scalar appends (round-3 verdict
-        item; identical edges to the per-row loop by equivalence test)."""
-        n = batch.num_rows
-        if n == 0:
-            return pa.Table.from_pydict({c: [] for c in EDGE_SCHEMA.names},
-                                        schema=EDGE_SCHEMA)
-        mentions = batch.column("mention").to_pylist()
-        codes, uniques = pd.factorize(np.asarray(mentions, dtype=object))
-        entries = [self._entry_for(m) for m in uniques]
-        uni_arrays = [self._hit_arrays(e[1]) for e in entries]
-        gaps_u = np.array([e[2] for e in entries], dtype=np.float64)
-        attrs_u = np.array([e[3] for e in entries], dtype=bool)
-
-        return _link_rows(batch, mentions, codes, uni_arrays, gaps_u, attrs_u,
-                          self.refine_factor, self.top_k,
-                          lambda j: self.index.candidates(entries[j][0]))
-
-
-def _link_rows(batch: pa.Table, mentions: list, codes, uni_arrays: list,
-               gaps_u, attrs_u, factor: float, top_k: int,
-               candidates_of) -> pa.Table:
-    """Shared edge-assembly core: given per-UNIQUE-mention hit arrays, gaps
-    and attr flags (``codes`` maps rows → uniques), apply the vectorized
-    margin gate, re-score gate-passing rows with the context term over
-    unique mention j's candidates ``candidates_of(j)`` (built once per
-    batch, on j's first gate-passing row), and emit edges by array
-    concatenation in original row order.  Used by both the per-actor-cache
-    path (LinkerActor) and the broadcast-merge path so their semantics
-    cannot drift."""
-    n = batch.num_rows
-    urls = np.asarray(batch.column("url").to_pylist(), dtype=object)
-    tids = np.asarray(batch.column("table_idx").to_pylist(), dtype=np.int64)
-    rids = np.asarray(batch.column("row_idx").to_pylist(), dtype=np.int64)
-    contexts = batch.column("context").to_pylist() \
-        if "context" in batch.column_names else [None] * n
-
-    # margin gate, vectorized over rows: re-score only where the cached
-    # top-two gap could be closed by the attainable context bonus
-    gate = np.zeros(n, dtype=bool)
-    if factor > 0.0 and attrs_u.any():
-        n_cells = np.array(
-            [(c.count(CONTEXT_SEP) + 1) if isinstance(c, str) and c
-             else (len(c) if c else 0) for c in contexts],
-            dtype=np.int64)
-        gate = (n_cells > 0) & attrs_u[codes] & \
-            (gaps_u[codes] <= factor * n_cells)
-
-    cands_u: dict[int, list] = {}
-    uri_p: list = []
-    score_p: list = []
-    rank_p: list = []
-    name_p: list = []
-    etype_p: list = []
-    counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        c = codes[i]
-        if gate[i]:
-            ctx = contexts[i]
-            cells = ctx.split(CONTEXT_SEP) if isinstance(ctx, str) \
-                else list(ctx)
-            cands = cands_u.get(c)
-            if cands is None:
-                cands = cands_u[c] = candidates_of(c)
-            arrs = LinkerActor._hit_arrays(finalize_candidates(
-                cands, top_k, context=cells, refine_factor=factor))
-        else:
-            arrs = uni_arrays[c]
-        counts[i] = len(arrs[0])
-        uri_p.append(arrs[0])
-        score_p.append(arrs[1])
-        rank_p.append(arrs[2])
-        name_p.append(arrs[3])
-        etype_p.append(arrs[4])
-
-    mention_arr = np.asarray(mentions, dtype=object)
-    return pa.Table.from_pydict({
-        "url": np.repeat(urls, counts),
-        "table_idx": np.repeat(tids, counts),
-        "row_idx": np.repeat(rids, counts),
-        "mention": np.repeat(mention_arr, counts),
-        "entity_uri": np.concatenate(uri_p) if uri_p else [],
-        "score": np.concatenate(score_p) if score_p else [],
-        "rank": np.concatenate(rank_p) if rank_p else [],
-        "matched_name": np.concatenate(name_p) if name_p else [],
-        "entity_type": np.concatenate(etype_p) if etype_p else [],
-    }, schema=EDGE_SCHEMA)
+    counts = np.zeros(n, dtype=np.int64)
+    cells = pa.array([], pa.string())
+    if "rows" in batch.column_names and n:
+        rows_col = batch.column("rows").combine_chunks()
+        rlen = _lengths(rows_col)
+        has_row = np.flatnonzero(m_row < rlen[m_tab])
+        row_cells = pc.list_flatten(rows_col).take(pa.array(
+            _starts(rlen)[m_tab[has_row]] + m_row[has_row]))
+        clen = _lengths(row_cells)
+        c_men = np.repeat(has_row, clen)
+        c_pos = np.arange(len(c_men)) - np.repeat(_starts(clen), clen)
+        cells = pc.list_flatten(row_cells)
+        ok = pc.fill_null(pc.and_(pc.greater(pc.binary_length(cells), 0),
+                                  pc.not_equal(cells, "null")), False) \
+            .to_numpy(zero_copy_only=False) & (c_pos != key_idx[m_tab][c_men])
+        c_men = c_men[ok]
+        counts = np.bincount(c_men, minlength=n)
+        capped = np.arange(len(c_men)) - _starts(counts)[c_men] \
+            < _MAX_CONTEXT_CELLS
+        cells = cells.filter(pa.array(ok)).filter(pa.array(capped))
+        counts = np.minimum(counts, _MAX_CONTEXT_CELLS)
+    context = pc.binary_join(_list_column(_offsets(counts), cells),
+                             CONTEXT_SEP)
+    tab = pa.array(m_tab)
+    return pa.table({
+        "url": batch.column("url").take(tab),
+        "table_idx": batch.column("table_idx").take(tab),
+        "row_idx": pa.array(m_row.astype(np.int32)),
+        "mention": keys.filter(pa.array(keep)),
+        "context": context,
+    }, schema=MENTION_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +199,9 @@ RESOLVED_SCHEMA = pa.schema([
 ])
 
 # per-WORKER-process caches (Ray reuses worker processes across tasks):
-# linker cores keyed by params, broadcast-table states keyed by ObjectRef
+# linker cores keyed by params, broadcast resolved tables keyed by ObjectRef
 _WORKER_CORES: dict[tuple, "LinkerActor"] = {}
-_WORKER_STATES: dict[str, tuple] = {}
+_WORKER_STATES: dict[str, pa.Table] = {}
 
 
 def _core_for(index_dir: str, top_k: int, max_edit: int, fuzzy: bool,
@@ -291,11 +215,6 @@ def _core_for(index_dir: str, top_k: int, max_edit: int, fuzzy: bool,
                            fuzzy=fuzzy, refine_factor=refine_factor)
         _WORKER_CORES[key] = core
     return core
-
-
-def _list_column(offsets: np.ndarray, values: pa.Array) -> pa.Array:
-    return pa.ListArray.from_arrays(pa.array(offsets.astype(np.int32)),
-                                    values)
 
 
 def _resolved_table(mentions: pa.Array, moffs: np.ndarray,
@@ -332,15 +251,10 @@ def _resolved_table(mentions: pa.Array, moffs: np.ndarray,
     return pa.table(cols, schema=RESOLVED_SCHEMA)
 
 
-def resolve_mentions_batch(batch: pa.Table, index_dir: str, top_k: int,
-                           max_edit: int, fuzzy: bool,
-                           refine_factor: float) -> pa.Table:
-    """DISTINCT mentions → one resolved row each: the finalized no-context
-    top-k hits plus everything the per-row margin gate and context re-score
-    need later (top-two gap, attr flag, full candidate list).  One
-    ``score_many`` call scans the whole block."""
-    idx = _core_for(index_dir, top_k, max_edit, fuzzy, refine_factor).index
-    mentions = batch.column("mention").combine_chunks().cast(pa.string())
+def _resolve_on(idx: LabelIndex, mentions: pa.Array, top_k: int,
+                fuzzy: bool, max_edit: int) -> pa.Table:
+    """Distinct mentions → RESOLVED_SCHEMA rows on a replicated index, from
+    one ``score_many`` scan."""
     moffs, eids, scores = idx.score_many(mentions.to_pylist(), fuzzy=fuzzy,
                                          max_edit=max_edit)
     take = pa.array(eids)
@@ -352,6 +266,18 @@ def resolve_mentions_batch(batch: pa.Table, index_dir: str, top_k: int,
         {"cand_eids": pa.array(eids.astype(np.int64))})
 
 
+def resolve_mentions_batch(batch: pa.Table, index_dir: str, top_k: int,
+                           max_edit: int, fuzzy: bool,
+                           refine_factor: float) -> pa.Table:
+    """DISTINCT mentions → one resolved row each: the finalized no-context
+    top-k hits plus everything the per-row margin gate and context re-score
+    need later (top-two gap, attr flag, full candidate list)."""
+    idx = _core_for(index_dir, top_k, max_edit, fuzzy, refine_factor).index
+    return _resolve_on(
+        idx, batch.column("mention").combine_chunks().cast(pa.string()),
+        top_k, fuzzy, max_edit)
+
+
 def _unique_mentions_batch(batch: pa.Table) -> pa.Table:
     import pyarrow.compute as pc
 
@@ -359,26 +285,19 @@ def _unique_mentions_batch(batch: pa.Table) -> pa.Table:
 
 
 def distinct_mentions_from_tables_batch(batch: pa.Table) -> pa.Table:
-    """Table records → unique mention strings, skipping the per-row context
-    assembly that makes the full mention map ~10× more expensive — the
-    distinct-resolve pass only needs the key strings."""
-    out: set[str] = set()
-    for hk, ki, keys in zip(batch.column("has_key").to_pylist(),
-                            batch.column("key_idx").to_pylist(),
-                            batch.column("raw_keys").to_pylist()):
-        if not hk or ki < 0:
-            continue
-        for k in keys:
-            if k and k.strip():
-                out.add(k)
-    return pa.table({"mention": pa.array(sorted(out), pa.string())})
+    """Table records → unique mention strings (sorted), skipping the
+    per-row context assembly that makes the full mention map ~10× more
+    expensive — the distinct-resolve pass only needs the key strings."""
+    _, _, keys, keep = _key_cells(batch)
+    uniq = pc.unique(keys.filter(pa.array(keep)))
+    return pa.table({"mention": uniq.take(pc.array_sort_indices(uniq))})
 
 
 def distinct_mentions(source_ds, from_tables: bool = False):
     """EXACT distinct mention strings: per-block unique (the combiner —
     blocks repeat the same head mentions, so this is the big reduction) →
     one bucket-hash exchange over the already-tiny per-block-unique set →
-    per-bucket unique → coalesce to cluster width for the resolve pass.
+    per-bucket unique → one block per CPU slot for the resolve pass.
 
     The exchange is NOT optional: a near-distinct set (per-block unique
     only) repeats each mention once per block, so the resolve pass paid
@@ -394,12 +313,12 @@ def distinct_mentions(source_ds, from_tables: bool = False):
     fn = distinct_mentions_from_tables_batch if from_tables \
         else _unique_mentions_batch
     part = source_ds.map_batches(fn, batch_format="pyarrow")
-    # coalesce width follows the cluster: a fixed count would cap the
-    # downstream resolve pass (the expensive index scan) at that many tasks
-    # on a big cluster; 2×CPUs keeps every slot busy
-    # bucket count doubles as the output block count (one block per bucket),
-    # so the resolve pass schedules at cluster width with no extra exchange
-    n_blocks = max(8, int(ray.cluster_resources().get("CPU", 4)) * 2)
+    # the bucket count doubles as the output block count (one block per
+    # bucket), so the resolve pass runs one task per CPU slot with no extra
+    # exchange: a fixed count would cap it on a big cluster, and more blocks
+    # than slots only add task launches (at one CPU the kg_crawl resolve
+    # took 0.39-0.72 s over 8 blocks, 0.18-0.22 s over one; BASELINE.md #51)
+    n_blocks = max(1, int(ray.cluster_resources().get("CPU", 4)))
     return dedupe_by_key(part, "mention", num_buckets=n_blocks)
 
 
@@ -550,234 +469,382 @@ def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
                       batch_format="pyarrow")
 
 
-def _flat(tbl: pa.Table, col: str):
-    """list column → (offsets int64[n+1], flat values numpy).  Offsets are
-    rebuilt from value lengths so sliced/concatenated chunks are safe."""
-    import pyarrow.compute as pc
-
-    c = tbl.column(col)
-    lens = pc.list_value_length(c).to_numpy(zero_copy_only=False)
-    offs = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offs[1:])
-    vals = pc.list_flatten(c).to_numpy(zero_copy_only=False)
-    return offs, vals
+def _resolved_rows(mentions, resolved: pa.Table) -> np.ndarray:
+    """Per mention: its row in ``resolved`` (-1 when absent)."""
+    pos = pc.index_in(mentions, value_set=resolved.column("mention")
+                      .combine_chunks())
+    return pc.fill_null(pos, -1).to_numpy(zero_copy_only=False) \
+        .astype(np.int64)
 
 
-def _broadcast_state(ref) -> tuple:
-    """ref → (mention→idx, flat hit/candidate arrays + offsets, gaps, attr
-    flags), built once per worker process (plasma-local get).
+def _flat_values(tbl: pa.Table, col: str) -> pa.Array:
+    return pc.list_flatten(tbl.column(col)).combine_chunks()
 
-    The state MUST stay flat-columnar: an earlier version materialized a
-    per-mention tuple of 5 numpy arrays for every broadcast mention up
-    front — 4 s uncontended, ~30 s on each of 16 simultaneously-building
-    workers (495 CPU-s measured at 32k mentions × ~120 candidates), which
-    was the entire post-shuffle link-phase regression.  Flat arrays build
-    vectorized in <0.2 s and per-unique views get sliced per batch, only
-    for mentions the batch actually contains."""
-    # only ObjectRefs are cacheable: a plain pa.Table (the co-grouped merge
-    # path passes one per bucket) can be freed and its id() reused by a NEW
+
+def _context_bonus(cells: list[list[str]], p_row: np.ndarray,
+                   attrs: pa.Array) -> np.ndarray:
+    """Per (gated row, candidate) pair: the refine-attrs sum of
+    ``state.index.context_bonus_for`` before the factor — over the row's
+    ``cells``, in order, the best token-Jaccard against the candidate's
+    attrs when it is >= 0.5, summed from 0.0 — bit for bit.
+
+    Set-at-a-time: only a (cell, attr) pair that shares a token can have a
+    nonzero Jaccard (the count filter), so intersections are counted by one
+    join on token ids.  Each distinct cell is tokenized once and each
+    distinct attrs string parsed once (``attrs_toksets``: ``frozenset(
+    a.split())`` per non-empty '\\x1f' piece; ``|a|`` counts all its tokens,
+    only those found in some cell join); the best Jaccard per (cell, attrs
+    string) then reaches every candidate carrying that string."""
+    n_pos = max(len(c) for c in cells)
+    pos_cell = np.full((len(cells), n_pos), -1, dtype=np.int64)
+    cell_id: dict[str, int] = {}
+    tok_id: dict[str, int] = {}
+    c_size: list[int] = []
+    ct_cell: list[int] = []
+    ct_tok: list[int] = []
+    for g, row in enumerate(cells):
+        for p, c in enumerate(row):
+            cid = cell_id.get(c)
+            if cid is None:
+                cid = cell_id[c] = len(c_size)
+                toks = set(tokenize_string(c, remove_brackets=True))
+                c_size.append(len(toks))
+                for t in toks:
+                    ct_cell.append(cid)
+                    ct_tok.append(tok_id.setdefault(t, len(tok_id)))
+            pos_cell[g, p] = cid
+
+    enc = pc.dictionary_encode(pc.fill_null(attrs, ""))
+    doc = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    a_size: list[int] = []
+    a_doc: list[int] = []
+    at_attr: list[int] = []
+    at_tok: list[int] = []
+    for d, s in enumerate(enc.dictionary.to_pylist()):
+        for piece in s.split(_ATTR_SEP):
+            if not piece:
+                continue
+            toks = frozenset(piece.split())
+            for t in toks:
+                ti = tok_id.get(t)
+                if ti is not None:
+                    at_attr.append(len(a_size))
+                    at_tok.append(ti)
+            a_size.append(len(toks))
+            a_doc.append(d)
+
+    # (cell, attr) pairs sharing a token → |c ∩ a| → Jaccard
+    at_tok_a = np.asarray(at_tok, dtype=np.int64)
+    order = np.argsort(at_tok_a, kind="stable")
+    at_tok_a = at_tok_a[order]
+    at_attr_a = np.asarray(at_attr, dtype=np.int64)[order]
+    ct_tok_a = np.asarray(ct_tok, dtype=np.int64)
+    lo = np.searchsorted(at_tok_a, ct_tok_a, "left")
+    lens = np.searchsorted(at_tok_a, ct_tok_a, "right") - lo
+    n_attr = max(1, len(a_size))
+    key, inter = np.unique(
+        np.repeat(np.asarray(ct_cell, dtype=np.int64), lens) * n_attr
+        + at_attr_a[_ranges(lo, lens)], return_counts=True)
+    kc, ka = key // n_attr, key % n_attr
+    jac = inter / (np.asarray(c_size, dtype=np.int64)[kc]
+                   + np.asarray(a_size, dtype=np.int64)[ka] - inter)
+
+    # best Jaccard per (cell, attrs string)
+    n_doc = max(1, len(enc.dictionary))
+    k2 = kc * n_doc + np.asarray(a_doc, dtype=np.int64)[ka]
+    order = np.lexsort((jac, k2))
+    k2, jac = k2[order], jac[order]
+    last = np.ones(len(k2), dtype=bool)
+    last[:-1] = k2[1:] != k2[:-1]
+    best_key, best = k2[last], jac[last]
+
+    bonus = np.zeros(len(p_row), dtype=np.float64)
+    if not len(best_key):
+        return bonus
+    for p in range(n_pos):
+        cid = pos_cell[p_row, p]
+        want = cid * n_doc + doc
+        i = np.minimum(np.searchsorted(best_key, want), len(best_key) - 1)
+        b = np.where((cid >= 0) & (best_key[i] == want), best[i], 0.0)
+        bonus = bonus + np.where(b >= 0.5, b, 0.0)
+    return bonus
+
+
+def _link_rows(batch: pa.Table, resolved: pa.Table, rows: np.ndarray,
+               factor: float, top_k: int, index_of=None) -> pa.Table:
+    """The one merge core: mention rows + RESOLVED_SCHEMA rows → edges in
+    input row order, hits in rank order.  ``rows[i]`` is row i's resolved
+    row; -1 emits no edges.  ``index_of()`` returns the replicated
+    LabelIndex that ``cand_eids`` point into, loaded only when a row is
+    re-scored; None means payload mode (the ``cand_*`` columns carry the
+    candidates).
+
+    A row keeps its resolved no-context hits (one gather over the
+    flattened hit lists) unless BOTH margin gates pass: the raw one (some
+    candidate has attrs, and the '\\x1f' piece count × factor covers the
+    top-two gap) and finalize_candidates' own (the same over the
+    non-empty, non-"null" cells).  Gated rows re-score all their
+    candidates at once as flat (row, candidate) arrays — base +
+    factor × ``_context_bonus`` — and rank with ``top_hits``, exactly as
+    finalize_candidates would."""
+    n = batch.num_rows
+    if n == 0:
+        return EDGE_SCHEMA.empty_table()
+    found = rows >= 0
+    used, local = np.unique(rows[found], return_inverse=True)
+    res = resolved.take(pa.array(used))
+    r = np.full(n, -1, dtype=np.int64)
+    r[found] = local
+    rf = np.where(found, r, 0)
+    gap = res.column("gap").to_numpy().astype(np.float64, copy=False)
+    has_attrs = res.column("has_attrs").to_numpy().astype(bool, copy=False)
+    hlen = _lengths(res.column("uris"))
+
+    gated = np.zeros(0, dtype=np.int64)
+    cells: list[list[str]] = []
+    if factor > 0.0 and "context" in batch.column_names and has_attrs.any():
+        ctx = pc.fill_null(batch.column("context"), "")
+        pieces = np.where(
+            pc.binary_length(ctx).to_numpy(zero_copy_only=False) > 0,
+            pc.count_substring(ctx, CONTEXT_SEP)
+            .to_numpy(zero_copy_only=False) + 1, 0)
+        cand = np.flatnonzero(found & (pieces > 0) & has_attrs[rf]
+                              & (gap[rf] <= factor * pieces))
+        cells = [[c for c in t.split(CONTEXT_SEP) if c and c != "null"]
+                 for t in ctx.take(pa.array(cand)).to_pylist()]
+        n_cells = np.array([len(c) for c in cells], dtype=np.int64)
+        second = (n_cells > 0) & (gap[r[cand]] <= factor * n_cells)
+        gated = cand[second]
+        cells = [c for c, k in zip(cells, second.tolist()) if k]
+
+    uri = _flat_values(res, "uris")
+    score = pc.list_flatten(res.column("scores")).to_numpy() \
+        .astype(np.float64, copy=False)
+    name = _flat_values(res, "names")
+    etype = _flat_values(res, "etypes")
+    counts = np.zeros(n, dtype=np.int64)
+    counts[found] = hlen[r[found]]
+    plain = np.flatnonzero(found)
+    if len(gated):
+        g_count, g_score, g_vals = _rescore(res, r[gated], cells, factor,
+                                            top_k, index_of)
+        counts[gated] = g_count
+        plain = np.setdiff1d(plain, gated, assume_unique=True)
+    out_offs = _offsets(counts)
+    src = np.empty(int(out_offs[-1]), dtype=np.int64)
+    src[_ranges(out_offs[plain], counts[plain])] = \
+        _ranges(_starts(hlen)[r[plain]], counts[plain])
+    if len(gated):
+        # gated hits go after the resolved ones in the value arrays
+        src[_ranges(out_offs[gated], g_count)] = \
+            len(score) + np.arange(len(g_score))
+        score = np.concatenate([score, g_score])
+        uri, name, etype = (pa.concat_arrays([a, v]) for a, v in
+                            zip((uri, name, etype), g_vals))
+    take = pa.array(src)
+    row_of = pa.array(np.repeat(np.arange(n), counts))
+    return pa.table({
+        "url": batch.column("url").take(row_of),
+        "table_idx": batch.column("table_idx").take(row_of)
+        .cast(pa.int32()),
+        "row_idx": batch.column("row_idx").take(row_of).cast(pa.int32()),
+        "mention": batch.column("mention").take(row_of),
+        "entity_uri": uri.take(take),
+        "score": score[src],
+        "rank": (np.arange(len(src)) - np.repeat(out_offs[:-1], counts))
+        .astype(np.int32),
+        "matched_name": name.take(take),
+        "entity_type": etype.take(take),
+    }, schema=EDGE_SCHEMA)
+
+
+def _rescore(res: pa.Table, gr: np.ndarray, cells: list[list[str]],
+             factor: float, top_k: int, index_of) -> tuple:
+    """Context re-score of the gated rows (``gr``: their resolved rows,
+    ``cells``: their filtered context cells) → (hit count per row, then
+    the hits' scores and (uri, name, type) arrays, in output order)."""
+    clen = _lengths(res.column("cand_scores"))
+    glen = clen[gr]
+    p_row = np.repeat(np.arange(len(gr)), glen)
+    p_cand = _ranges(_starts(clen)[gr], glen)
+    base = pc.list_flatten(res.column("cand_scores")).to_numpy() \
+        .astype(np.float64, copy=False)[p_cand]
+    if index_of is None:
+        pick = pa.array(p_cand)
+        uri, name, etype, attrs = (_flat_values(res, c).take(pick) for c in
+                                   ("cand_uris", "cand_norms", "cand_etypes",
+                                    "cand_attrs"))
+        rank, urank = rank_keys(uri, name)
+    else:
+        idx = index_of()
+        eids = pc.list_flatten(res.column("cand_eids")).to_numpy()[p_cand]
+        pick = pa.array(eids)
+        uri, name, etype, attrs = (
+            idx.entries_uri.take(pick), idx.entries_norm.take(pick),
+            idx.entries_type.take(pick), idx.entries_attrs.take(pick))
+        rank, urank = idx.entries_rank[eids], idx.entries_uri_rank[eids]
+    scores = base + factor * _context_bonus(cells, p_row, attrs)
+    hit, count = top_hits(p_row, len(gr), scores, rank, urank, top_k)
+    take = pa.array(hit)
+    return count, scores[hit], tuple(v.take(take) for v in (uri, name, etype))
+
+
+class LinkerActor:
+    """Stateful linker: loads the label index ONCE per actor (__init__) and
+    links one batch of mentions per __call__ — the batch's distinct
+    mentions resolve in one ``score_many`` scan and the shared merge core
+    ``_link_rows`` emits the edges, the same resolve and merge as the
+    broadcast path, so the two cannot drift.
+
+    Pass to ``map_batches(LinkerActor, fn_constructor_kwargs=...,
+    concurrency=N, batch_size=B)``."""
+
+    def __init__(self, index_dir: str, top_k: int = 5,
+                 max_edit: int = 1, fuzzy: bool = True,
+                 refine_factor: float = 0.0):
+        self.index = LabelIndex(index_dir)
+        self.top_k = top_k
+        self.max_edit = max_edit
+        self.fuzzy = fuzzy
+        self.refine_factor = refine_factor
+        # per mention string: the scalar reference entry of _entry_for
+        self._cache: dict[str, tuple] = {}
+
+    def _entry_for(self, m: str) -> tuple:
+        """Scalar reference for one mention: (candidate scan, finalized
+        no-context hits, top-two base-score gap, any candidate with attrs).
+        The merge core computes the same per distinct mention, vectorized;
+        the equivalence tests compare the two."""
+        entry = self._cache.get(m)
+        if entry is None:
+            scored = self.index.search_scored(m, fuzzy=self.fuzzy,
+                                              max_edit=self.max_edit)
+            base_hits = self.index.finalize(scored, self.top_k)
+            if len(scored) > 1:
+                top2 = sorted(s for _, s in scored)[-2:]
+                gap = top2[1] - top2[0]
+            else:
+                gap = float("inf")
+            has_attrs = bool(self.index.entries_has_attrs[
+                [eid for eid, _ in scored]].any())
+            entry = (scored, base_hits, gap, has_attrs)
+            if len(self._cache) < 200_000:
+                self._cache[m] = entry
+        return entry
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        mentions = batch.column("mention").combine_chunks()
+        resolved = _resolve_on(
+            self.index, pc.unique(pc.drop_null(mentions)).cast(pa.string()),
+            self.top_k, self.fuzzy, self.max_edit)
+        return _link_rows(batch, resolved, _resolved_rows(mentions, resolved),
+                          self.refine_factor, self.top_k, lambda: self.index)
+
+
+def _broadcast_table(ref) -> pa.Table:
+    """ref → the broadcast resolved table, fetched once per worker process
+    (plasma-local get).  It stays flat-columnar: each batch takes only the
+    resolved rows its mentions use (BASELINE.md #24: per-mention Python
+    state built for the whole broadcast in every worker cost 495 CPU-s)."""
+    # only ObjectRefs are cacheable: a plain pa.Table (the co-partitioned
+    # merge passes one per bucket) can be freed and its id() reused by a NEW
     # table, so id-keyed caching would serve stale state
-    cacheable = hasattr(ref, "hex")
-    key = ref.hex() if cacheable else None
-    state = _WORKER_STATES.get(key) if cacheable else None
-    if state is None:
+    if isinstance(ref, pa.Table):
+        return ref
+    tbl = _WORKER_STATES.get(ref.hex())
+    if tbl is None:
         import ray
 
-        tbl = ref if isinstance(ref, pa.Table) else ray.get(ref)
-        ments = tbl.column("mention").to_pylist()
-        uoffs, uvals = _flat(tbl, "uris")
-        _, svals = _flat(tbl, "scores")
-        _, nvals = _flat(tbl, "names")
-        _, evals = _flat(tbl, "etypes")
-        # offsets come from cand_scores (filled in BOTH modes); cand_eids is
-        # empty in payload mode, the payload columns empty in replicated mode
-        coffs, cscores = _flat(tbl, "cand_scores")
-        _, ceids = _flat(tbl, "cand_eids")
-        _, puris = _flat(tbl, "cand_uris")
-        _, pnorms = _flat(tbl, "cand_norms")
-        _, petypes = _flat(tbl, "cand_etypes")
-        _, pattrs = _flat(tbl, "cand_attrs")
-        max_k = int((uoffs[1:] - uoffs[:-1]).max()) if len(ments) else 0
-        state = (
-            {m: i for i, m in enumerate(ments)},
-            (uoffs, uvals, svals.astype(np.float64, copy=False),
-             nvals, evals, np.arange(max_k, dtype=np.int32)),
-            tbl.column("gap").to_numpy(zero_copy_only=False),
-            tbl.column("has_attrs").to_numpy(zero_copy_only=False),
-            (coffs, ceids, cscores, puris, pnorms, petypes, pattrs),
-        )
-        if cacheable:
-            if len(_WORKER_STATES) > 4:
-                _WORKER_STATES.clear()
-            _WORKER_STATES[key] = state
-    return state
+        tbl = ray.get(ref)
+        if len(_WORKER_STATES) > 4:
+            _WORKER_STATES.clear()
+        _WORKER_STATES[ref.hex()] = tbl
+    return tbl
 
 
 def merge_links_batch(batch: pa.Table, ref, index_dir: str, top_k: int,
                       max_edit: int, fuzzy: bool, refine_factor: float,
                       payload_mode: bool = False) -> pa.Table:
-    """mention rows + broadcast resolved table → edges (same semantics as
-    LinkerActor via the shared _link_rows core).  Mentions absent from the
-    broadcast table (nondeterministic upstream recompute) resolve through
-    the per-worker fallback core instead of erroring.
+    """mention rows + broadcast resolved table → edges through the merge
+    core ``_link_rows``.  Mentions absent from the broadcast table
+    (nondeterministic upstream recompute) resolve on the per-worker index
+    with the same ``score_many`` resolve instead of erroring.
 
     ``payload_mode`` (shard-routed resolve): candidates arrive as payload
-    columns, the context re-score runs the pure finalize over them, and NO
-    index is ever loaded here — resolved rows cover every distinct mention
-    including zero-candidate ones (marker rows), so a missing mention means
-    upstream recompute drift and resolves to zero edges with a warning."""
-    n = batch.num_rows
-    if n == 0:
-        return pa.Table.from_pydict({c: [] for c in EDGE_SCHEMA.names},
-                                    schema=EDGE_SCHEMA)
-    m2i, (uoffs, uvals, svals, nvals, evals, g_rank), g_gaps, g_attrs, \
-        (coffs, ceids, cscores, puris, pnorms, petypes, pattrs) = \
-        _broadcast_state(ref)
-    mentions = batch.column("mention").to_pylist()
-    codes, uniques = pd.factorize(np.asarray(mentions, dtype=object))
-    nu = len(uniques)
-    uni_arrays: list = [None] * nu
-    gaps_u = np.empty(nu, dtype=np.float64)
-    attrs_u = np.zeros(nu, dtype=bool)
-    cand_u: list = [None] * nu
-    fallback = None
-    _empty = LinkerActor._hit_arrays([])
-    for j, m in enumerate(uniques):
-        gi = m2i.get(m, -1)
-        if gi >= 0:
-            a, b = uoffs[gi], uoffs[gi + 1]
-            uni_arrays[j] = (uvals[a:b], svals[a:b], g_rank[:b - a],
-                             nvals[a:b], evals[a:b])
-            gaps_u[j] = g_gaps[gi]
-            attrs_u[j] = g_attrs[gi]
-            ca, cb = coffs[gi], coffs[gi + 1]
-            if payload_mode:
-                cand_u[j] = (puris[ca:cb], cscores[ca:cb], pnorms[ca:cb],
-                             petypes[ca:cb], pattrs[ca:cb])
-            else:
-                cand_u[j] = (ceids[ca:cb], cscores[ca:cb])
-        elif payload_mode:
-            import logging
+    columns and NO index is ever loaded here — resolved rows cover every
+    distinct mention including zero-candidate ones (marker rows), so a
+    missing mention means upstream recompute drift and resolves to zero
+    edges with a warning."""
+    if batch.num_rows == 0:
+        return EDGE_SCHEMA.empty_table()
+    resolved = _broadcast_table(ref)
+    mentions = batch.column("mention").combine_chunks()
+    rows = _resolved_rows(mentions, resolved)
 
+    def index_of() -> LabelIndex:
+        return _core_for(index_dir, top_k, max_edit, fuzzy,
+                         refine_factor).index
+
+    missing = pc.unique(pc.drop_null(mentions.filter(pa.array(rows < 0))))
+    if len(missing) and payload_mode:
+        import logging
+
+        for m in missing.to_pylist():
             logging.getLogger(__name__).warning(
                 "mention %r missing from shard-routed resolved set "
                 "(upstream recompute drift?) — emitting no edges", m)
-            uni_arrays[j] = _empty
-            gaps_u[j] = float("inf")
-            attrs_u[j] = False
-            cand_u[j] = ([], [], [], [], [])
-        else:
-            if fallback is None:
-                fallback = _core_for(index_dir, top_k, max_edit, fuzzy,
-                                     refine_factor)
-            scored, base_hits, gap, has_attrs = fallback._entry_for(m)
-            uni_arrays[j] = LinkerActor._hit_arrays(base_hits)
-            gaps_u[j] = gap
-            attrs_u[j] = bool(has_attrs)
-            cand_u[j] = ([e for e, _ in scored], [s for _, s in scored])
-
-    def candidates_of(j: int) -> list:
-        if payload_mode:
-            return [(u, float(s), nm, et, attrs_toksets(a))
-                    for u, s, nm, et, a in zip(*cand_u[j])]
-        # the index loads lazily, only on a gate-passing row — most merge
-        # tasks never touch it
-        index = _core_for(index_dir, top_k, max_edit, fuzzy,
-                          refine_factor).index
-        return index.candidates(list(zip(*cand_u[j])))
-
-    return _link_rows(batch, mentions, codes, uni_arrays, gaps_u, attrs_u,
-                      refine_factor, top_k, candidates_of)
+    elif len(missing):
+        extra = _resolve_on(index_of(), missing.cast(pa.string()), top_k,
+                            fuzzy, max_edit)
+        at = _resolved_rows(mentions, extra)
+        rows = np.where((rows < 0) & (at >= 0), resolved.num_rows + at, rows)
+        resolved = pa.concat_tables([resolved, extra])
+    return _link_rows(batch, resolved, rows, refine_factor, top_k,
+                      None if payload_mode else index_of)
 
 
-def _merge_links_cogrouped(df: pd.DataFrame, index_dir: str, top_k: int,
-                           max_edit: int, fuzzy: bool, refine_factor: float,
-                           payload_mode: bool = False) -> pa.Table:
-    """One hash(mention) bucket of the co-partitioned merge: resolved rows
-    (``__payload`` = pickled per-mention resolution) + mention rows →
-    edges, through the same merge core as the broadcast path (the bucket's
-    resolved slice plays the broadcast table)."""
-    import pickle
+# co-partitioned merge rows: a mention row fills the MENTION_SCHEMA columns
+# and a resolved row the RESOLVED_SCHEMA ones; the others stay null.  Both
+# sides share this one Arrow schema (Ray's sort cannot mix block formats).
+_COGROUP_SCHEMA = pa.schema(
+    list(MENTION_SCHEMA) + [f for f in RESOLVED_SCHEMA if f.name != "mention"])
 
-    res = df[df["__payload"].notna()]
-    men = df[df["__payload"].isna()]
-    if men.empty:
-        return pa.Table.from_pydict(
-            {c: [] for c in EDGE_SCHEMA.names},
-            schema=EDGE_SCHEMA).to_pandas()
-    cols: dict[str, list] = {name: [] for name in RESOLVED_SCHEMA.names}
-    for m, payload in zip(res["mention"], res["__payload"]):
-        (uris, scores, names, etypes, gap, has_attrs, eids, cscores,
-         c_uris, c_norms, c_etypes, c_attrs) = pickle.loads(payload)
-        cols["mention"].append(m)
-        cols["uris"].append(uris)
-        cols["scores"].append(scores)
-        cols["names"].append(names)
-        cols["etypes"].append(etypes)
-        cols["gap"].append(gap)
-        cols["has_attrs"].append(has_attrs)
-        cols["cand_eids"].append(eids)
-        cols["cand_scores"].append(cscores)
-        cols["cand_uris"].append(c_uris)
-        cols["cand_norms"].append(c_norms)
-        cols["cand_etypes"].append(c_etypes)
-        cols["cand_attrs"].append(c_attrs)
-    local_ref = pa.Table.from_pydict(cols, schema=RESOLVED_SCHEMA)
-    batch = pa.Table.from_pydict({
-        "url": pa.array(men["url"], pa.string()),
-        "table_idx": pa.array(men["table_idx"].astype("int32")),
-        "row_idx": pa.array(men["row_idx"].astype("int32")),
-        "mention": pa.array(men["mention"], pa.string()),
-        "context": pa.array(men["context"], pa.string()),
-    }, schema=MENTION_SCHEMA)
-    return merge_links_batch(batch, local_ref, index_dir, top_k, max_edit,
-                             fuzzy, refine_factor,
-                             payload_mode=payload_mode).to_pandas()
+
+def _cogroup_rows(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    return pa.table({
+        f.name: t.column(f.name).cast(f.type)
+        if f.name in schema.names and f.name in t.column_names
+        else pa.nulls(t.num_rows, f.type)
+        for f in _COGROUP_SCHEMA}, schema=_COGROUP_SCHEMA)
+
+
+def _merge_links_cogrouped(group: pa.Table, **kw) -> pa.Table:
+    """One hash(mention) bucket of the co-partitioned merge: its resolved
+    rows play the broadcast table for its mention rows."""
+    resolved = pc.is_valid(group.column("uris"))
+    men = group.filter(pc.invert(resolved)).select(MENTION_SCHEMA.names)
+    if men.num_rows == 0:
+        return EDGE_SCHEMA.empty_table()
+    res = group.filter(resolved).select(RESOLVED_SCHEMA.names) \
+        .cast(RESOLVED_SCHEMA)
+    return merge_links_batch(men, res, **kw)
 
 
 def _link_merge_join(mentions_ds, resolved_ds, kw: dict, num_buckets: int):
     """Co-partitioned merge for resolved sets too large to broadcast: both
-    sides bucket by hash(mention) (the resolved payload rides as ONE
-    pickled cell per distinct mention), one constant-cardinality groupby,
-    and each bucket merges its mention rows against its resolved slice —
-    the resolved table never lands on the driver or in any single worker
+    sides bucket by hash(mention) as Arrow rows of one schema, and each
+    bucket merges its mention rows against its resolved slice — the
+    resolved table never lands on the driver or in any single worker
     whole.  Same partitioning assumption as every bucket_join in the repo:
     a bucket (≈ distinct-mentions / num_buckets plus its mention rows)
     fits one worker's heap."""
-    import pickle
-
-    def tag_mentions(t: pa.Table) -> pd.DataFrame:
-        df = t.select(list(MENTION_SCHEMA.names)).to_pandas()
-        # int64 on both union sides — mixed-width blocks break the groupby
-        df["table_idx"] = df["table_idx"].astype("int64")
-        df["row_idx"] = df["row_idx"].astype("int64")
-        df["__payload"] = pd.Series([None] * len(df), dtype=object)
-        return df
-
-    def tag_resolved(t: pa.Table) -> pd.DataFrame:
-        payloads = [
-            pickle.dumps(tup, protocol=4)
-            for tup in zip(
-                t.column("uris").to_pylist(), t.column("scores").to_pylist(),
-                t.column("names").to_pylist(), t.column("etypes").to_pylist(),
-                t.column("gap").to_pylist(), t.column("has_attrs").to_pylist(),
-                t.column("cand_eids").to_pylist(),
-                t.column("cand_scores").to_pylist(),
-                t.column("cand_uris").to_pylist(),
-                t.column("cand_norms").to_pylist(),
-                t.column("cand_etypes").to_pylist(),
-                t.column("cand_attrs").to_pylist())]
-        ments = t.column("mention").to_pylist()
-        return pd.DataFrame({
-            "url": "", "table_idx": 0, "row_idx": 0, "mention": ments,
-            "context": "", "__payload": pd.Series(payloads, dtype=object)})
-
-    sides = [mentions_ds.map_batches(tag_mentions, batch_format="pyarrow",
-                                     batch_size=None),
-             resolved_ds.map_batches(tag_resolved, batch_format="pyarrow",
-                                     batch_size=None)]
+    sides = [ds.map_batches(_cogroup_rows, fn_args=(schema,),
+                            batch_format="pyarrow", batch_size=None)
+             for ds, schema in ((mentions_ds, MENTION_SCHEMA),
+                                (resolved_ds, RESOLVED_SCHEMA))]
     return bucket_map(sides, "mention", num_buckets,
-                      lambda g: _merge_links_cogrouped(g, **kw))
+                      lambda g: _merge_links_cogrouped(g, **kw),
+                      batch_format="pyarrow")
 
 
 def link_mentions(mentions_ds, index_dir: str,

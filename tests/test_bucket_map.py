@@ -185,3 +185,21 @@ def test_map_groups_only_at_one_group_per_output_sites():
         and p.relative_to(PACKAGE).as_posix() not in MAP_GROUPS_SITES
     ]
     assert offenders == [], f"per-group map_groups in {offenders}"
+
+
+def test_link_merge_is_set_at_a_time():
+    """The link merge neither pickles rows through the co-partitioned
+    exchange nor finalizes one row at a time: ``stages/link.py`` imports
+    no ``pickle`` and never calls ``finalize_candidates(``."""
+    import ast
+
+    src = (PACKAGE / "stages" / "link.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+            imported.update(a.name for a in node.names)
+    assert "pickle" not in imported
+    assert "finalize_candidates(" not in src
