@@ -3,9 +3,15 @@
     pages.parquet ──read_parquet (column-pruned)
       └─ extract tables    map_batches   [stateless, Arrow in/out]
       └─ triplify          map_batches   [stateless]
-      └─ (optional) entity linking       [actor pool — stages/link.py]
+      └─ (optional) entity linking       [distinct resolve + stateless
+                                          broadcast merge — stages/link.py]
       └─ (optional) canonicalization     [LSH + connected components]
       └─ materialize: hash(subj) partitions, sorted, manifests
+
+In ``run_full`` the triplify, the link merge and the label side-output are
+one shard pass: a single map over the extracted tables that writes the
+triple runs, the rank-0 edges and the label pairs, after the distinct
+mentions are resolved and broadcast.
 
 Resume model (north rule): the INPUT is split into shards (groups of parquet
 fragments / page-id ranges); each shard runs the full flow and commits its
@@ -17,7 +23,6 @@ hash-partitioned by subject and sorted by (subj, pred).
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import time
@@ -92,12 +97,12 @@ def materialize_triples(triples, out_dir: str,
 
       stage A (fuses with the upstream triplify map — no materialization of
       the triple set): each task splits its block by part = hash64(subj) %
-      num_partitions and appends one run file per partition under
-      ``out_dir/_runs/part=P/``;
-      stage B: each non-empty partition merges its runs and commits via
-      :func:`materialize.write_partition` (sort + atomic rename +
-      manifest); the partitions are dealt over at most one task per CPU
-      slot.
+      num_partitions and writes one run file under ``out_dir/_runs/``
+      (see :func:`_run_splitter`);
+      stage B (:func:`_merge_runs`): each non-empty partition merges its
+      runs and commits via :func:`materialize.write_partition` (sort +
+      atomic rename + manifest); the partitions are dealt over at most one
+      task per CPU slot.
 
     Run files are Arrow IPC, uncompressed by default — they live only
     between the two stages, and parquet encode/decode was the dominant cost
@@ -139,19 +144,38 @@ def materialize_triples(triples, out_dir: str,
     memory-mapped IPC reads); see ``state/fsio.py``.  pyarrow filesystems
     pickle, so the split/merge task closures carry it.
     """
-    import json as _json
-    import uuid
-
-    import ray.data as rd
-
-    from ..state import fsio
-
     if run_compression is None:
         run_compression = os.environ.get("GRAFT_RUN_COMPRESSION",
                                          "uncompressed")
+    runs_dir = _fresh_runs_dir(out_dir, fs)
+    # batch_size=None: one split task per upstream block (a row-count target
+    # bundles blocks and caps the stage's parallelism)
+    counts = triples.map_batches(
+        _run_splitter(runs_dir, num_partitions, run_compression, fs),
+        batch_format="pyarrow", batch_size=None).take_all()
+    return _merge_runs(counts, out_dir, runs_dir, fingerprint, split_rows, fs)
+
+
+def _fresh_runs_dir(out_dir: str, fs=None) -> str:
+    """An empty ``out_dir/_runs`` for stage A (a killed run's runs go)."""
+    from ..state import fsio
+
     runs_dir = os.path.join(out_dir, "_runs")
     fsio.rmtree(fs, runs_dir)
     fsio.makedirs(fs, runs_dir)
+    return runs_dir
+
+
+def _run_splitter(runs_dir: str, num_partitions: int, run_compression: str,
+                  fs=None):
+    """Stage A of :func:`materialize_triples` as a map fn: triples block →
+    one run file under ``runs_dir`` (one record batch per hash(subj)
+    partition) → one ``(partition, rows, run_id)`` row per partition it
+    holds.  The rows are the commit record stage B reads."""
+    import json as _json
+    import uuid
+
+    from ..state import fsio
 
     def split_write(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -165,7 +189,8 @@ def materialize_triples(triples, out_dir: str,
 
         if batch.num_rows == 0:
             return pa.table({"partition": pa.array([], pa.int64()),
-                             "rows": pa.array([], pa.int64())})
+                             "rows": pa.array([], pa.int64()),
+                             "run_id": pa.array([], pa.string())})
         part = (hash64(batch.column("subj").to_numpy(zero_copy_only=False))
                 % num_partitions).astype("int64")
         order = np.argsort(part, kind="stable")
@@ -195,9 +220,20 @@ def materialize_triples(triples, out_dir: str,
                          "rows": pa.array(rows_out, pa.int64()),
                          "run_id": pa.array([run_id] * len(parts_out))})
 
-    # batch_size=None: one split task per upstream block (CLAUDE.md rule)
-    counts = triples.map_batches(split_write, batch_format="pyarrow",
-                                 batch_size=None).take_all()
+    return split_write
+
+
+def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
+                fingerprint: str, split_rows: int | None,
+                fs=None) -> list[dict]:
+    """Stage B of :func:`materialize_triples`: merge the reported runs of
+    each partition, commit the partitions and remove ``runs_dir``."""
+    import json as _json
+
+    import ray.data as rd
+
+    from ..state import fsio
+
     # the COMMIT record is the task RESULT, not the filesystem: a task
     # retried after its rename completed (worker lost between rename and
     # result delivery) leaves an orphan file whose run_id never reaches
@@ -485,6 +521,86 @@ def run_resumable(pages_path: str, out_dir: str,
     return metrics
 
 
+# one result row per (run, partition) written by the split (``file`` null)
+# and per side-output file written (``partition``/``run_id`` null; ``file``
+# is relative to the shard directory): the commit record of a shard pass
+_SHARD_PASS_SCHEMA = pa.schema([("partition", pa.int64()), ("rows", pa.int64()),
+                                ("run_id", pa.string()), ("file", pa.string())])
+_SIDE_DIRS = ("edges", "labels")
+
+
+def _side_files(sides: list[tuple[str, pa.Table]],
+                shard_dir: str) -> pa.Table:
+    """Write each non-empty side table as ONE parquet file
+    ``shard_dir/<dir>/part-<uuid>.parquet`` (tmp + rename) → one
+    ``_SHARD_PASS_SCHEMA`` row per file written."""
+    import uuid
+
+    from ..state import fsio
+
+    files, rows = [], []
+    for sub, tbl in sides:
+        if tbl.num_rows == 0:
+            continue
+        name = f"{sub}/part-{uuid.uuid4().hex}.parquet"
+        path = os.path.join(shard_dir, name)
+        fsio.write_parquet(None, tbl, path + ".tmp")
+        fsio.move(None, path + ".tmp", path)
+        files.append(name)
+        rows.append(tbl.num_rows)
+    n = len(files)
+    return pa.table({"partition": pa.nulls(n, pa.int64()),
+                     "rows": pa.array(rows, pa.int64()),
+                     "run_id": pa.nulls(n, pa.string()),
+                     "file": pa.array(files, pa.string())},
+                    schema=_SHARD_PASS_SCHEMA)
+
+
+def _shard_pass(batch: pa.Table, split_write, shard_dir: str,
+                merge_kw: dict | None) -> pa.Table:
+    """Phase 1's one map over a shard's extracted table records: the triples
+    go through stage A of the materialize (``split_write``), the rank-0
+    edges (when ``merge_kw`` holds the broadcast merge kwargs) and the label
+    pairs are written as one parquet file each.  The label pairs are the
+    canonicalization input, tiny next to the triples, so phase 2 never
+    re-scans the triple set.  Returns only the commit record: the split
+    rows plus one row per side file.
+
+    The stage functions are called through their modules so that span
+    wrappers installed on them (perfbench/trace.py) see every call."""
+    from ..stages import link, triples
+
+    runs = split_write(triples.triples_from_tables_batch(batch))
+    sides = []
+    if merge_kw is not None:
+        sides.append(("edges", link.rank0(link.merge_links_batch(
+            link.mentions_from_tables_batch(batch), **merge_kw))))
+    sides.append(("labels", triples.label_pairs_from_tables_batch(batch)))
+    return pa.concat_tables([
+        runs.append_column("file", pa.nulls(runs.num_rows, pa.string())),
+        _side_files(sides, shard_dir)])
+
+
+def _edges_pass(batch: pa.Table, shard_dir: str) -> pa.Table:
+    """Co-partitioned link merge output block → its rank-0 edges as one
+    side file (same commit record as :func:`_shard_pass`)."""
+    from ..stages import link
+
+    return _side_files([("edges", link.rank0(batch))], shard_dir)
+
+
+def _prune_side_files(shard_dir: str, committed: set[str]) -> None:
+    """Delete every file under the shard's side directories that no task
+    result reported: an orphan of a retried task or a stray ``.tmp``."""
+    from ..state import fsio
+
+    for sub in _SIDE_DIRS:
+        d = os.path.join(shard_dir, sub)
+        for f in fsio.listdir(None, d):
+            if f"{sub}/{f}" not in committed:
+                fsio.remove(None, os.path.join(d, f))
+
+
 # label sets at or below this row count run driver-local blocking + CC; above
 # it, the whole mapping construction stays Dataset-native (nothing
 # driver-sized: edges, components, and the (uri, canon) table are Datasets)
@@ -502,8 +618,10 @@ def run_full(pages_path: str, out_dir: str,
 
       phase 0  label-index build from the gazetteer (manifested, skipped on
                resume)
-      phase 1  per input shard: extract → triples → link → write triples
-               partitions + edges parquet + shard manifest (resumable)
+      phase 1  per input shard: extract → distinct mentions → resolve →
+               ONE shard pass over the extracted tables (triple runs,
+               rank-0 edges and label pairs) → merge the runs into the
+               triples partitions → shard manifest (resumable)
       phase 2  global canonicalization over all phase-1 triples (LSH blocking
                → connected components → URI rewrite) → final sorted
                partitioned materialize under out/final (manifested)
@@ -512,13 +630,14 @@ def run_full(pages_path: str, out_dir: str,
 
     from ..sources.pages import make_gazetteer
     from ..stages.link import (
+        _link_merge_join,
         distinct_mentions,
-        link_mentions,
+        link_merge_buckets,
+        link_merge_plan,
         mentions_from_tables_batch,
-        top1_links,
     )
+    from ..state import fsio
     from ..state.index import build_index
-    import pyarrow as _pa
 
     os.makedirs(out_dir, exist_ok=True)
     metrics: dict = {}
@@ -527,15 +646,15 @@ def run_full(pages_path: str, out_dir: str,
     # --- phase 0: label index ---
     index_dir = os.path.join(out_dir, "label_index")
     index_manifest = os.path.join(out_dir, "index_manifest.json")
-    if not os.path.exists(index_manifest):
-        gaz = rd.from_arrow(_pa.table(make_gazetteer(num_entities)))
+    if fsio.read_json(None, index_manifest) is None:
+        gaz = rd.from_arrow(pa.table(make_gazetteer(num_entities)))
         n_postings = build_index(gaz, index_dir, num_shards=cfg.num_index_shards)
-        with open(index_manifest + ".tmp", "w") as fh:
-            json.dump({"postings": n_postings, "entities": num_entities}, fh)
-        os.replace(index_manifest + ".tmp", index_manifest)
+        fsio.write_json_atomic(None, index_manifest,
+                               {"postings": n_postings,
+                                "entities": num_entities})
     metrics["index_sec"] = time.time() - t0
 
-    # --- phase 1: sharded extract + triples + link ---
+    # --- phase 1: sharded extract + link + one shard pass ---
     frags = list_page_fragments(pages_path)
     if num_shards is None:
         num_shards = len(frags)
@@ -552,22 +671,39 @@ def run_full(pages_path: str, out_dir: str,
         shard_dir = os.path.join(out_dir, f"shard={si:05d}")
         # the shard MANIFEST is the commit record: a crash mid-shard leaves
         # partial side-outputs that a rerun must replace, not append to
-        # (Ray's write_parquet adds files to an existing directory)
-        import shutil as _shutil
-
-        for sub in ("edges", "labels"):
-            _shutil.rmtree(os.path.join(shard_dir, sub), ignore_errors=True)
+        for sub in _SIDE_DIRS:
+            fsio.rmtree(None, os.path.join(shard_dir, sub))
+            fsio.makedirs(None, os.path.join(shard_dir, sub))
         pages = read_pages(frag_group, columns=["url", "html"])
         _ts = time.time()
         tables = extract_tables_ds(pages, cfg).materialize()
         metrics["extract_sec"] = metrics.get("extract_sec", 0.0) + time.time() - _ts
 
-        # NOTE: running triples-materialize and linking as concurrent driver
-        # threads was measured SLOWER in aggregate — both stages are already
-        # CPU-saturating.  Sequential stages keep every slot busy and scale
-        # cleanly (see BASELINE.md optimization log).
+        # distinct mentions → resolve → broadcast BEFORE the shard pass, so
+        # the one map over the tables can merge the links in place.  The
+        # distinct strings come straight from the table records — cheaper
+        # than the context-building mention map.  top_k=1 at emission: run_full persists only the rank-0 decision,
+        # so producing the top-5 candidate edges just to filter 80 % away
+        # wasted 5× the edge volume through the object store (2.46M → 493k
+        # rows at sf0.1; edge set verified identical to top1(top_k=5))
         _ts = time.time()
-        triples = triples_ds(tables, cfg)
+        merge_kw, resolved = link_merge_plan(
+            distinct_mentions(tables, from_tables=True), index_dir, cfg,
+            top_k=1)
+        committed: list[dict] = []
+        if resolved is not None:
+            # co-partitioned path: the resolved set is too large to
+            # broadcast, so the edges come from their own bucket exchange
+            edges = _link_merge_join(
+                tables.map_batches(mentions_from_tables_batch,
+                                   batch_format="pyarrow"),
+                resolved, merge_kw, link_merge_buckets())
+            committed += edges.map_batches(
+                _edges_pass, fn_kwargs=dict(shard_dir=shard_dir),
+                batch_format="pyarrow", batch_size=None).take_all()
+            merge_kw = None
+        metrics["link_sec"] = metrics.get("link_sec", 0.0) + time.time() - _ts
+
         # run-file compression adapts to the shard's volume (spill bytes ≈
         # ~9× the input parquet at this corpus shape): under ~1 GB of input
         # parquet the runs stay page-cache-resident and uncompressed IPC is
@@ -576,50 +712,36 @@ def run_full(pages_path: str, out_dir: str,
         # reduction is the right spill policy (A/B at 256k pages: triples
         # 42.9→30.9 s at 16 cpus, within the machine noise band; see
         # BASELINE.md #37).  GRAFT_RUN_COMPRESSION overrides.
+        _ts = time.time()
         shard_bytes = sum(os.path.getsize(f) for f in frag_group
                           if os.path.isfile(f))
         run_comp = os.environ.get(
             "GRAFT_RUN_COMPRESSION",
             "uncompressed" if shard_bytes < (1 << 30) else "lz4")
-        part_stats = materialize_triples(
-            triples, shard_dir, num_partitions=partitions_per_shard,
-            fingerprint=";".join(os.path.basename(f) for f in frag_group),
-            run_compression=run_comp)
+        runs_dir = _fresh_runs_dir(shard_dir)
+        # batch_size=None: one task per extracted block, as in stage A.
+        # The task results are the commit record of the runs AND the side
+        # files: a retried task's orphan is never read or kept
+        committed += tables.map_batches(
+            _shard_pass,
+            fn_kwargs=dict(split_write=_run_splitter(
+                runs_dir, partitions_per_shard, run_comp),
+                shard_dir=shard_dir, merge_kw=merge_kw),
+            batch_format="pyarrow", batch_size=None).take_all()
+        part_stats = _merge_runs(
+            [c for c in committed if c["run_id"] is not None], shard_dir,
+            runs_dir, ";".join(os.path.basename(f) for f in frag_group),
+            split_rows=None)
+        _prune_side_files(shard_dir,
+                          {c["file"] for c in committed if c["file"]})
         metrics["triples_sec"] = metrics.get("triples_sec", 0.0) + time.time() - _ts
-
-        _ts = time.time()
-        mentions = tables.map_batches(mentions_from_tables_batch,
-                                      batch_format="pyarrow")
-        # distinct mention strings come straight from the table records —
-        # cheaper than re-running the context-building mention map for them
-        # top_k=1 at emission: run_full persists only the rank-0 decision,
-        # so producing the top-5 candidate edges just to filter 80 % away
-        # wasted 5× the edge volume through the object store (2.46M → 493k
-        # rows at sf0.1; edge set verified identical to top1(top_k=5))
-        edges = top1_links(link_mentions(
-            mentions, index_dir, cfg, top_k=1,
-            distinct_ds=distinct_mentions(tables, from_tables=True)))
-        edges.write_parquet(os.path.join(shard_dir, "edges"))
-        metrics["link_sec"] = metrics.get("link_sec", 0.0) + time.time() - _ts
-        # label side-output: distinct (subject, label) pairs — the
-        # canonicalization input, tiny vs the triples, so phase 2 never
-        # re-scans the full triple set
-        from ..stages.triples import label_pairs_from_tables_batch
-
-        _ts = time.time()
-        labels = tables.map_batches(label_pairs_from_tables_batch,
-                                    batch_format="pyarrow")
-        labels.write_parquet(os.path.join(shard_dir, "labels"))
-        metrics["labels_sec"] = metrics.get("labels_sec", 0.0) + time.time() - _ts
         n_tr = sum(m["rows"] for m in part_stats)
         rows_triples += n_tr
         manifest = {"shard": si, "rows": n_tr,
                     "fragments": [os.path.basename(f) for f in frag_group],
                     "partitions": len(part_stats), "completed_at": time.time()}
-        mp = _shard_manifest_path(out_dir, si)
-        with open(mp + ".tmp", "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(mp + ".tmp", mp)
+        fsio.write_json_atomic(None, _shard_manifest_path(out_dir, si),
+                               manifest)
     metrics["phase1_sec"] = time.time() - t1
     metrics["triples"] = rows_triples
 
@@ -627,7 +749,8 @@ def run_full(pages_path: str, out_dir: str,
     t2 = time.time()
     final_dir = os.path.join(out_dir, "final")
     final_manifest = os.path.join(out_dir, "final_manifest.json")
-    if not os.path.exists(final_manifest):
+    committed_final = fsio.read_json(None, final_manifest)
+    if committed_final is None:
         from ..stages.canonicalize import (
             alias_edges_from_labels,
             alias_edges_local,
@@ -684,20 +807,18 @@ def run_full(pages_path: str, out_dir: str,
             # identity mapping: phase-1 partitions (already hash(subj)-
             # partitioned and sorted) ARE the final output — commit that fact
             # instead of rewriting 100% of the data
-            n_final = sum(m["rows"] for m in
-                          (json.load(open(_shard_manifest_path(out_dir, si)))
-                           for si in completed_shards(out_dir)))
+            n_final = sum(
+                fsio.read_json(None, _shard_manifest_path(out_dir, si))["rows"]
+                for si in completed_shards(out_dir))
             layout = "phase1"
-        with open(final_manifest + ".tmp", "w") as fh:
-            json.dump({"rows": n_final, "layout": layout,
-                       "merged_uris": n_merged,
-                       "completed_at": time.time()}, fh)
-        os.replace(final_manifest + ".tmp", final_manifest)
+        fsio.write_json_atomic(None, final_manifest,
+                               {"rows": n_final, "layout": layout,
+                                "merged_uris": n_merged,
+                                "completed_at": time.time()})
         metrics["final_rows"] = n_final
         metrics["merged_uris"] = n_merged
     else:
-        with open(final_manifest) as fh:
-            metrics["final_rows"] = json.load(fh)["rows"]
+        metrics["final_rows"] = committed_final["rows"]
     metrics["phase2_sec"] = time.time() - t2
     metrics["wall_sec"] = time.time() - t0
     return metrics

@@ -861,12 +861,49 @@ def link_mentions(mentions_ds, index_dir: str,
     co-partitioned bucket join instead (``_link_merge_join``): same
     O(distinct) resolve, one hash(mention) exchange, no broadcast — the
     10^12-document path, where the distinct-mention set is not provably
-    worker-heap-sized.
+    worker-heap-sized.  The choice, the resolve and the broadcast are
+    :func:`link_merge_plan`.
 
     ``distinct_ds``: optional pre-built distinct mention Dataset (see
     ``distinct_mentions(..., from_tables=True)``) — lets run_full derive the
     distinct set from the table records directly instead of re-running the
-    context-building mention map for it.
+    context-building mention map for it."""
+    merge_kw, resolved = link_merge_plan(
+        distinct_ds if distinct_ds is not None
+        else distinct_mentions(mentions_ds), index_dir, cfg, top_k)
+    if resolved is not None:
+        return _link_merge_join(mentions_ds, resolved, merge_kw,
+                                link_merge_buckets())
+    # batch_size MUST stay None: a row-count target makes Ray bundle input
+    # blocks up to that many rows per task, and when this map fuses with the
+    # lazy upstream mention map the bundling counts TABLE-record rows — at
+    # 64k pages that collapsed 200 blocks into ~16 mega-tasks, capping the
+    # stage at half the cluster and letting one skewed bundle run the clock
+    # (measured 38 s vs 14 s for the identical work; see BASELINE.md).
+    return mentions_ds.map_batches(
+        merge_links_batch, fn_kwargs=merge_kw,
+        batch_format="pyarrow", batch_size=None)
+
+
+def link_merge_buckets() -> int:
+    """Bucket count of the co-partitioned merge (``_link_merge_join``)."""
+    import ray
+
+    return max(32, int(ray.cluster_resources().get("CPU", 4)) * 2)
+
+
+def link_merge_plan(distinct_ds, index_dir: str,
+                    cfg: PipelineConfig = DEFAULT_CONFIG,
+                    top_k: int = 5) -> tuple[dict, object]:
+    """Everything of the link before the merge: route the resolve, resolve
+    the distinct mentions ONCE, and choose how the merge meets them.
+
+    Returns ``(merge_kw, resolved)``.  On the broadcast path ``resolved``
+    is None and ``merge_kw`` are the complete ``merge_links_batch`` kwargs,
+    ``ref`` (the ``ray.put`` resolved table) included — a map over any
+    mention blocks then merges with them.  On the co-partitioned path
+    ``resolved`` is the resolved Dataset and ``merge_kw`` carries no
+    ``ref``; ``_link_merge_join`` merges the two.
 
     Index routing (``cfg.link_shard_route``): None (auto) shard-routes the
     resolve when the built index's ESTIMATED RESIDENT bytes
@@ -900,8 +937,7 @@ def link_mentions(mentions_ds, index_dir: str,
         raise ValueError(
             f"link_shard_route=True needs a sharded index with _meta.json "
             f"under {index_dir} (rebuild with build_index)")
-    distinct = (distinct_ds if distinct_ds is not None
-                else distinct_mentions(mentions_ds)).materialize()
+    distinct = distinct_ds.materialize()
     if sharded:
         resolved = resolve_mentions_sharded(
             distinct, index_dir, top_k=top_k, max_edit=cfg.max_edit_distance,
@@ -923,9 +959,7 @@ def link_mentions(mentions_ds, index_dir: str,
         use_bucket = sharded and \
             resolved.size_bytes() > cfg.link_payload_broadcast_bytes
     if use_bucket:
-        n_buckets = max(32,
-                        int(ray.cluster_resources().get("CPU", 4)) * 2)
-        return _link_merge_join(mentions_ds, resolved, mkw, n_buckets)
+        return mkw, resolved
 
     parts = [t if isinstance(t, pa.Table)
              else pa.Table.from_pandas(t, schema=RESOLVED_SCHEMA,
@@ -933,33 +967,34 @@ def link_mentions(mentions_ds, index_dir: str,
              for t in ray.get(resolved.to_arrow_refs()) if len(t)]
     tbl = pa.concat_tables(parts) if parts else pa.Table.from_pydict(
         {c: [] for c in RESOLVED_SCHEMA.names}, schema=RESOLVED_SCHEMA)
-    if tbl.num_rows:
-        # belt-and-braces: the broadcast must hold each mention ONCE —
-        # any upstream duplication multiplies every worker's state-build
-        # cost and the broadcast payload (resolution is deterministic
-        # per mention, so first-wins is safe)
-        codes, _ = pd.factorize(
-            np.asarray(tbl.column("mention").to_pylist(), dtype=object))
-        first = np.unique(codes, return_index=True)[1]
-        if len(first) < tbl.num_rows:
-            tbl = tbl.take(pa.array(np.sort(first)))
-    ref = ray.put(tbl)
-    # batch_size MUST stay None: a row-count target makes Ray bundle input
-    # blocks up to that many rows per task, and when this map fuses with the
-    # lazy upstream mention map the bundling counts TABLE-record rows — at
-    # 64k pages that collapsed 200 blocks into ~16 mega-tasks, capping the
-    # stage at half the cluster and letting one skewed bundle run the clock
-    # (measured 38 s vs 14 s for the identical work; see BASELINE.md).
-    return mentions_ds.map_batches(
-        merge_links_batch, fn_kwargs=dict(ref=ref, **mkw),
-        batch_format="pyarrow", batch_size=None)
+    # belt-and-braces: the broadcast must hold each mention ONCE — any
+    # upstream duplication multiplies every worker's state-build cost and
+    # the broadcast payload (resolution is deterministic per mention, so
+    # first-wins is safe)
+    return dict(mkw, ref=ray.put(first_per_mention(tbl))), None
+
+
+def first_per_mention(tbl: pa.Table) -> pa.Table:
+    """The first row of each distinct ``mention`` (one null mention counts
+    as one value), in their original order; the table itself when the
+    mentions are already distinct."""
+    ment = tbl.column("mention")
+    if pc.count_distinct(ment, mode="all").as_py() == tbl.num_rows:
+        return tbl
+    codes = pc.index_in(ment, value_set=pc.unique(ment)) \
+        .to_numpy(zero_copy_only=False)
+    first = np.unique(codes, return_index=True)[1]
+    return tbl.take(pa.array(np.sort(first)))
+
+
+def rank0(edges: pa.Table) -> pa.Table:
+    """The rank-0 rows of an edge table (the link decision)."""
+    return edges.filter(pc.equal(edges["rank"], pa.scalar(0, pa.int32())))
 
 
 def top1_links(edges_ds):
     """rank-0 edges only (the link decision)."""
-    return edges_ds.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["rank"], pa.scalar(0, pa.int32()))),
-        batch_format="pyarrow")
+    return edges_ds.map_batches(rank0, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

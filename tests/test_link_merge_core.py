@@ -491,3 +491,32 @@ def test_mentions_context_cap_and_key_past_cap():
 def test_py_whitespace_is_str_isspace():
     assert set(L.PY_WHITESPACE) == {
         chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+
+
+def port_first_per_mention(tbl: pa.Table) -> pa.Table:
+    """The broadcast dedupe as it was: pandas factorize over the mention
+    objects (None is its own code), first index per code, original order."""
+    import pandas as pd
+
+    codes, _ = pd.factorize(
+        np.asarray(tbl.column("mention").to_pylist(), dtype=object))
+    first = np.unique(codes, return_index=True)[1]
+    return tbl.take(pa.array(np.sort(first))) if len(first) < tbl.num_rows \
+        else tbl
+
+
+def test_broadcast_dedupe_equals_pandas_port():
+    # duplicates spread over two resolved parts, one null mention
+    parts = [pa.table({"mention": ["b", "a", None, "b", "c"],
+                       "gap": [1.0, 2.0, 3.0, 4.0, 5.0]}),
+             pa.table({"mention": ["a", "d", "c", "b"],
+                       "gap": [6.0, 7.0, 8.0, 9.0]})]
+    tbl = pa.concat_tables(parts)
+    got = L.first_per_mention(tbl)
+    assert got.to_pydict() == port_first_per_mention(tbl).to_pydict()
+    assert got.column("mention").to_pylist() == ["b", "a", None, "c", "d"]
+    assert got.column("gap").to_pylist() == [1.0, 2.0, 3.0, 5.0, 7.0]
+    distinct = parts[0].slice(0, 3)
+    assert L.first_per_mention(distinct) is distinct
+    empty = parts[0].slice(0, 0)
+    assert L.first_per_mention(empty).num_rows == 0
