@@ -372,8 +372,7 @@ def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
                 table = table.filter(mask)
             n = table.num_rows
             if n:
-                table = table.sort_by([("subj", "ascending"),
-                                       ("pred", "ascending")])
+                table = mat.sort_triples(table)
                 tmp_dir = os.path.join(out_dir, f"part={p:05d}.tmp")
                 fsio.write_parquet(
                     fs, table,

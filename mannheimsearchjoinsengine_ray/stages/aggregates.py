@@ -1,17 +1,20 @@
 """Grouped aggregation and the repo's one hash-bucket exchange.
 
 ``bucket_map`` is the exchange behind every wide step (joins, dedup, CC
-star rounds, link merge, sessionizing): rows tag with
+star rounds, link merge, sessionizing), and it decides the engine in one
+place: an input that measures at most ``DRIVER_FINAL_BYTES`` goes through
+the function once on the driver (the one-bucket case — a sort exchange is
+~0.3 s of fixed scheduling for kilobytes of rows); above it rows tag with
 ``hash64(key) % B`` and ONE sort-based groupby over the B bucket ids hands
-each bucket to a vectorized function — key cardinality never meets Ray's
-per-group machinery, and the exchange engine is decided in one place.
+each bucket to the vectorized function — key cardinality never meets Ray's
+per-group machinery.
 
 A bare ``groupby(key).aggregate(...)`` shuffles every row and, in this Ray
 version, carries heavy per-block/per-group overhead (measured 35s vs 0.6s on
 a 600k-row join output).  ``two_phase_agg`` computes partials per batch with
-vectorized pandas, shuffles ONLY the partials, and finishes with a small
-groupby — the combiner pattern the reference implements ad hoc with
-synchronized accumulators (TableColumn.valuesInfo, JoinResult sums,
+vectorized pandas, moves ONLY the partials through ``bucket_map`` and
+merges them there — the combiner pattern the reference implements ad hoc
+with synchronized accumulators (TableColumn.valuesInfo, JoinResult sums,
 SearchJoin.java:827-840).
 
 Supported functions: sum, count, min, max, mean (mean = sum/count derived
@@ -30,6 +33,8 @@ from ..functions.hashing import hash64
 # per-bucket input target; B = total_bytes / this, clamped
 _TARGET_BUCKET_BYTES = 64 << 20
 _MIN_BUCKETS, _MAX_BUCKETS = 8, 65_536
+# bucket_map inputs up to this many measured bytes finish on the driver
+DRIVER_FINAL_BYTES = 32 << 20
 
 
 def auto_bucket_count(*datasets,
@@ -72,19 +77,38 @@ def _key_text(col):
 
 
 def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
-               batch_format: str = "pandas"):
+               batch_format: str = "pandas",
+               driver_final_bytes: int | None = None):
     """Run ``fn`` once per hash bucket: every row whose key hashes to
     bucket b (``hash64`` of the key's string form, list keys joined with
     ``"\\x00"``, modulo ``num_buckets``) reaches the same ``fn`` call, which
     gets the bucket in ``batch_format`` without the bucket column.
 
-    ``ds`` may be a list of Datasets (the sides of a join): each side is
-    tagged separately and the tagged sides are unioned, so the tag map fuses
-    into each side's last map and both sides always hash the same way.  The
-    tag map runs in ``batch_format`` too: every tagged block then has one
-    format (Ray's sort cannot sample a mix of pandas and Arrow blocks) and
-    the buckets reach ``fn`` without another conversion.  The exchange is
-    the sort-based ``groupby().map_groups`` over the bucket ids."""
+    ``ds`` may be a list of Datasets (the sides of a join); the sides are
+    unioned and materialized, so their measured bytes decide the engine:
+
+    * at or under ``driver_final_bytes`` (default ``DRIVER_FINAL_BYTES``,
+      read per call): ``fn`` runs ONCE on the driver over every row in
+      block order — the ``num_buckets = 1`` case of this contract.  The
+      sort exchange is about 0.3 s of fixed scheduling for kilobytes of
+      rows.  The result is split into min(num_buckets, cluster CPUs, rows)
+      blocks without a shuffle, so downstream width stays one task per
+      CPU slot.  With zero input rows ``fn`` is not called.
+    * above it: the tag map adds the bucket column in ``batch_format`` —
+      every tagged block then has one format, because Ray's sort cannot
+      sample a mix of pandas and Arrow blocks — and the sort-based
+      ``groupby().map_groups`` hands each bucket to ``fn``.
+
+    Rows reach ``fn`` in the order of their blocks on either path (a stable
+    sort keeps it inside a bucket)."""
+    sides = ds if isinstance(ds, (list, tuple)) else [ds]
+    data = (sides[0].union(*sides[1:]) if len(sides) > 1
+            else sides[0]).materialize()
+    if driver_final_bytes is None:
+        driver_final_bytes = DRIVER_FINAL_BYTES
+    if (data.size_bytes() or 0) <= driver_final_bytes:
+        return _driver_map(data, num_buckets, fn, batch_format)
+
     keys = [key] if isinstance(key, str) else list(key)
     modulus = np.uint64(num_buckets)
     arrow = batch_format == "pyarrow"
@@ -113,33 +137,58 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
     # ds.stats() names the reduce operator after this function
     run.__name__ = getattr(fn, "__name__", "run")
 
-    sides = ds if isinstance(ds, (list, tuple)) else [ds]
-    tagged = [d.map_batches(add_bucket, batch_format=batch_format,
-                            batch_size=None) for d in sides]
-    tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    tagged = data.map_batches(add_bucket, batch_format=batch_format,
+                              batch_size=None)
     return tagged.groupby("__bucket").map_groups(run,
                                                  batch_format=batch_format)
+
+
+def _driver_map(data, num_buckets: int, fn, batch_format: str):
+    """``bucket_map``'s driver finish over a MATERIALIZED Dataset: its
+    non-empty blocks in ``batch_format``, concatenated in block order, go
+    through ``fn`` once; the result comes back as an already-executed
+    Dataset of min(num_buckets, cluster CPUs, rows) contiguous blocks."""
+    import ray
+    import ray.data as rd
+    from ray.data.block import BlockAccessor
+
+    arrow = batch_format == "pyarrow"
+    refs = [ref for bundle in data.iter_internal_ref_bundles()
+            for ref, _ in bundle.blocks]
+    parts = []
+    for block in ray.get(refs):
+        acc = BlockAccessor.for_block(block)
+        if acc.num_rows():
+            parts.append(acc.to_arrow() if arrow else acc.to_pandas())
+    if not parts:
+        return (rd.from_arrow(pa.table({})) if arrow
+                else rd.from_pandas(pd.DataFrame())).materialize()
+    batch = (pa.concat_tables(parts, promote_options="permissive")
+             .combine_chunks() if arrow
+             else pd.concat(parts, ignore_index=True))
+    out = BlockAccessor.batch_to_block(fn(batch))
+    rows = BlockAccessor.for_block(out).num_rows()
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n = max(1, min(num_buckets, cpus, rows))
+    bounds = [i * rows // n for i in range(n + 1)]
+    if isinstance(out, pa.Table):
+        return rd.from_arrow([out.slice(a, b - a) for a, b
+                              in zip(bounds, bounds[1:])]).materialize()
+    return rd.from_pandas([out.iloc[a:b].reset_index(drop=True) for a, b
+                           in zip(bounds, bounds[1:])]).materialize()
 
 
 def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
                   driver_final_bytes: int | None = None):
     """Global distinct-by-key.  The per-batch drop_duplicates pass (map-side
-    combine) always runs and is materialized to MEASURE the surviving set:
-
-    * under the driver guard (default ``DRIVER_FINAL_BYTES``): one pandas
-      drop_duplicates on the driver, split back into ``num_buckets`` blocks
-      WITHOUT a shuffle — the bucket sort-exchange costs ~2 s of fixed task
-      overhead for kilobytes of distinct rows (measured on distinct_mentions:
-      2.5 s → 0.1 s for 1000 distinct strings).  First row per key in global
-      block order wins — the same first-wins contract as the bucket path.
-    * above it: ``bucket_map`` by key, drop_duplicates per bucket.  B
-      groups regardless of key cardinality — the per-group overhead of a
-      high-cardinality groupby never appears.
-      ``num_buckets=None`` derives B from the measured bytes."""
-    import ray.data as rd
-
-    if driver_final_bytes is None:
-        driver_final_bytes = DRIVER_FINAL_BYTES
+    combine) always runs and is materialized, then ``bucket_map`` by key
+    drops duplicates per bucket — on the driver in one call while the
+    surviving set fits ``driver_final_bytes`` (measured on
+    distinct_mentions: 2.5 s → 0.1 s for 1000 distinct strings), as B
+    buckets above it, so a high-cardinality groupby's per-group overhead
+    never appears.  First row per key in global block order wins on both
+    paths.  ``num_buckets=None`` derives B from the measured bytes; the
+    driver path returns min(B, cluster CPUs) blocks."""
     deduped = ds.map_batches(lambda df: df.drop_duplicates(key),
                              batch_format="pandas").materialize()
     if deduped.num_blocks() > 64:
@@ -151,39 +200,27 @@ def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
         deduped = deduped.map_batches(
             lambda df: df.drop_duplicates(key), batch_format="pandas",
             batch_size=max(4096, rows_per_block * 32)).materialize()
-    if deduped.size_bytes() <= driver_final_bytes:
-        out = deduped.to_pandas().drop_duplicates(key).reset_index(drop=True)
-        if out.empty:
-            return rd.from_pandas(out)
-        n = int(min(num_buckets or 32, max(1, len(out))))
-        return rd.from_pandas(
-            [c.reset_index(drop=True) for c in np.array_split(out, n)])
     if num_buckets is None:
         num_buckets = auto_bucket_count(deduped)
     return bucket_map(deduped, key, num_buckets,
-                      lambda g: g.drop_duplicates(key))
-
-
-DRIVER_FINAL_BYTES = 32 << 20
+                      lambda g: g.drop_duplicates(key),
+                      driver_final_bytes=driver_final_bytes)
 
 
 def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
-                  driver_final_bytes: int = DRIVER_FINAL_BYTES):
+                  driver_final_bytes: int | None = None):
     """spec: output_name -> (input_column | None, fn); fn ∈ {sum,count,min,max,mean}.
 
     Returns a Dataset with columns keys + list(spec).
 
     Partials are always materialized (they are combiner output — bounded by
-    #blocks × per-block distinct keys, tiny for low-cardinality groupbys).
-    When the measured partial bytes fit ``driver_final_bytes`` the final
-    merge happens ON THE DRIVER in one pandas groupby — a repartition + sort
-    shuffle for kilobytes of partials costs ~2 s of fixed task overhead per
-    query at any cluster size.  Above the guard (corpus-cardinality keys)
-    the partials ``bucket_map`` by key into a bucket count sized from the
-    measured partial bytes, and each bucket merges with ONE vectorized
-    pandas groupby — key cardinality never meets Ray's per-group machinery
-    (a bare groupby(keys).aggregate measured 508 s where the bucket final
-    takes ~8 s on a 6M-row/2M-key posting set).
+    #blocks × per-block distinct keys, tiny for low-cardinality groupbys)
+    and merged through ``bucket_map`` by key with ONE vectorized pandas
+    groupby per call: on the driver when the measured partial bytes fit
+    ``driver_final_bytes``, else in buckets sized from those bytes — key
+    cardinality never meets Ray's per-group machinery (a bare
+    groupby(keys).aggregate measured 508 s where the bucket final takes
+    ~8 s on a 6M-row/2M-key posting set).
     """
     sum_cols: dict[str, str] = {}
     min_cols: dict[str, str] = {}
@@ -243,19 +280,9 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
         return final[keys + list(spec)]
 
     partials = ds.map_batches(partial, batch_format="pandas").materialize()
-    if partials.size_bytes() <= driver_final_bytes:
+    if partials.count() == 0:
         import ray.data as rd
 
-        pdf = partials.to_pandas()
-        if pdf.empty:
-            return rd.from_pandas(pd.DataFrame(columns=keys + list(spec)))
-        return rd.from_pandas(merge_partials(pdf))
-
-    # Above the guard the keys are corpus-cardinality (millions of groups):
-    # a bare groupby(keys).aggregate(...) here pays Ray's per-group overhead
-    # on every one of them (measured 508 s for a 6M-row / ~2M-token posting
-    # df at 16 cpus).  Bucket the partials by key hash instead — B groups
-    # regardless of key cardinality, one vectorized pandas merge per bucket
-    # (the dedupe_by_key shape; same data, 8 s).
+        return rd.from_pandas(pd.DataFrame(columns=keys + list(spec)))
     return bucket_map(partials, keys, auto_bucket_count(partials),
-                      merge_partials)
+                      merge_partials, driver_final_bytes=driver_final_bytes)

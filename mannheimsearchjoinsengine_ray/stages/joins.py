@@ -17,6 +17,9 @@ Auto planning (the 100×-safe default): with ``bucket_count=None`` both sides
 are materialized (the shuffle reads every row anyway) and B is derived from
 the measured byte size / ``target_bucket_bytes`` — a literal 16 caps reduce
 parallelism AND requires each bucket to fit one worker's heap at any scale.
+Whatever B is, ``bucket_map`` measures the tagged sides and, at or under
+``aggregates.DRIVER_FINAL_BYTES``, merges them in ONE call on the driver
+(no sort exchange); B then only sets the output block count.
 With ``salt=None`` (auto) a probe side above ``skew_threshold`` rows runs
 ``detect_hot_keys`` (bounded partials) and salts automatically, so one hot
 key never pins a reduce task without the caller having to know about skew.
@@ -321,17 +324,21 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
         l2 = _prep(left_ds, left_on, 0, all_cols)
         r2 = _prep(right_ds, right_on, 1, all_cols)
 
+    # salted rows match on (key, salt): one call may hold several salts of
+    # a hot key (two salts sharing a bucket, or the driver finish), and a
+    # probe row must meet the replicated build rows of its own salt only
+    on = ["__key", "__salt"] if use_salt else ["__key"]
+
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         l = group[group["__side"] == 0]
         r = group[group["__side"] == 1]
-        m = l[["__key"] + lc].merge(r[["__key"] + rc], on="__key", how=how)
-        return restore(m.rename(columns={"__key": left_on}))
+        m = l[on + lc].merge(r[on + rc], on=on, how=how)
+        return restore(m.drop(columns=on[1:])
+                       .rename(columns={"__key": left_on}))
 
-    if use_salt:
-        # salted rows co-locate by (key, salt) over salt × B buckets
-        return bucket_map([l2, r2], ["__key", "__salt"], bucket_count * salt,
-                          merge)
-    return bucket_map([l2, r2], "__key", bucket_count, merge)
+    # salted rows co-locate by (key, salt) over salt × B buckets
+    return bucket_map([l2, r2], on,
+                      bucket_count * salt if use_salt else bucket_count, merge)
 
 
 def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,

@@ -7,7 +7,8 @@ searchJoins.conf:103-109 misc.reuse*) with the north-rule design:
 
   * output partition = hash64(subj) % num_partitions — co-locates all triples
     of a subject, stable across runs and cluster sizes;
-  * triples sorted by (subj, pred) within each partition;
+  * triples sorted by (subj, pred, obj, obj_type, source_url) within each
+    partition, so its bytes do not depend on the order the runs arrive;
   * each partition directory is written to a temp path and renamed, then a
     JSON manifest (row count, partition id, input fingerprint) is written —
     the MANIFEST, not the data file, is the commit record;
@@ -27,6 +28,16 @@ import pyarrow as pa
 
 from ..functions.hashing import hash64
 from ..state import fsio
+
+# rows tied on (subj, pred) need the rest of the triple in the sort key too:
+# the runs of a partition concatenate in task completion order
+SORT_KEY = ("subj", "pred", "obj", "obj_type", "source_url")
+
+
+def sort_triples(table: pa.Table) -> pa.Table:
+    """``table`` sorted by the ``SORT_KEY`` columns it has."""
+    return table.sort_by([(c, "ascending") for c in SORT_KEY
+                          if c in table.column_names])
 
 
 def add_partition_column(batch: pa.Table, num_partitions: int,
@@ -91,7 +102,7 @@ def write_partition(table: pa.Table, out_dir: str, part: int,
     fsio.makedirs(fs, out_dir)
     if "part" in table.column_names:
         table = table.drop_columns(["part"])
-    table = table.sort_by([("subj", "ascending"), ("pred", "ascending")])
+    table = sort_triples(table)
 
     part_dir = os.path.join(out_dir, f"part={part:05d}")
     tmp_dir = part_dir + ".tmp"

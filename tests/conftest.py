@@ -28,3 +28,12 @@ def ray_session():
 @pytest.fixture(scope="session")
 def sf_dir() -> str:
     return "/root/testdata/sf0.001"
+
+
+@pytest.fixture
+def exchange_path(monkeypatch):
+    """Every ``bucket_map`` runs its sort exchange, however small its input
+    (by default inputs up to ``DRIVER_FINAL_BYTES`` finish on the driver)."""
+    from mannheimsearchjoinsengine_ray.stages import aggregates
+
+    monkeypatch.setattr(aggregates, "DRIVER_FINAL_BYTES", -1)

@@ -74,17 +74,18 @@ def _dataset(df: pd.DataFrame, arrow_blocks: bool):
         lambda b: b, batch_format="pandas")
 
 
+SHAPES = ["empty", "hot_key", "null_keys", "two_column_key", "int_keys",
+          "int_keys_nulls_in_one_block", "datetime_keys", "string_keys",
+          "two_sides"]
+
+
 @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
-@pytest.mark.parametrize("shape", ["empty", "hot_key", "null_keys",
-                                   "two_column_key", "int_keys",
-                                   "int_keys_nulls_in_one_block",
-                                   "datetime_keys",
-                                   "string_keys", "two_sides"])
+@pytest.mark.parametrize("shape", SHAPES)
 def test_bucket_map_key_in_one_call(ray_session, shape, batch_format):
     """Every key's rows reach exactly one fn call, fn never sees the bucket
     column, and the union of fn outputs is exactly the input.  Sides
     alternate Arrow and pandas blocks — both must hash a key the same
-    way."""
+    way.  These inputs are small, so fn runs once on the driver."""
     frames, key = _shape(shape)
     keys = [key] if isinstance(key, str) else key
     sides = [_dataset(df, arrow_blocks=i % 2 == 0)
@@ -114,6 +115,77 @@ def test_bucket_map_key_in_one_call(ray_session, shape, batch_format):
         .sort_values("v").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want.sort_values("v").reset_index(
         drop=True), check_dtype=False)
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bucket_map_key_in_one_call_exchange(ray_session, exchange_path,
+                                             shape, batch_format):
+    """The same contract through the sort exchange."""
+    test_bucket_map_key_in_one_call(ray_session, shape, batch_format)
+
+
+def _sort_operators(run) -> list[int]:
+    """Per Ray Data execution that ``run()`` starts, its number of
+    all-to-all (sort) operators."""
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator,
+    )
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    counts: list[int] = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        ops, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            ops.append(op)
+            todo.extend(op.input_dependencies)
+        counts.append(sum(isinstance(op, AllToAllOperator) for op in ops))
+        return real_execute(self, dag, *args, **kwargs)
+
+    StreamingExecutor.execute = execute
+    try:
+        run()
+    finally:
+        StreamingExecutor.execute = real_execute
+    return counts
+
+
+def _semi_join():
+    import ray.data as rd
+
+    from mannheimsearchjoinsengine_ray.stages.joins import bucket_semi_join
+
+    left = pd.DataFrame({"k": np.arange(200) % 30, "v": np.arange(200)})
+    right = pd.DataFrame({"rk": np.arange(0, 30, 3)})
+    out = bucket_semi_join(rd.from_pandas([left.iloc[i:i + 70]
+                                           for i in range(0, 200, 70)]),
+                           rd.from_pandas(right), "k", "rk",
+                           bucket_count=8).to_pandas()
+    assert sorted(out["v"]) == [v for v in range(200) if v % 30 % 3 == 0]
+
+
+def _user_sessions(sf_dir):
+    from mannheimsearchjoinsengine_ray.pipelines.queries import q_user_sessions
+
+    assert len(q_user_sessions(sf_dir)) > 0
+
+
+@pytest.mark.parametrize("query", ["semi_join", "user_sessions"])
+def test_small_exchange_runs_no_sort(ray_session, sf_dir, monkeypatch, query):
+    """Under the driver guard a small semi join and ``q_user_sessions`` run
+    no sort operator; with every exchange forced, exactly one."""
+    from mannheimsearchjoinsengine_ray.stages import aggregates
+
+    run = _semi_join if query == "semi_join" else \
+        (lambda: _user_sessions(sf_dir))
+    assert sum(_sort_operators(run)) == 0
+    monkeypatch.setattr(aggregates, "DRIVER_FINAL_BYTES", -1)
+    assert sum(_sort_operators(run)) == 1
 
 
 @pytest.mark.parametrize("impl", ["arrow", "pandas"])

@@ -98,6 +98,39 @@ def test_embedding_dedup(ray_session):
     assert (10, 50) in found
 
 
+def test_embedding_dedup_exact_blocks_match_full_matrix(ray_session):
+    """The exact path's row blocks give the pairs of the full n×n upper
+    triangle, in its order, for n over one block (near-duplicates planted
+    inside each block and across the block boundary)."""
+    import ray.data as rd
+
+    n = D._EXACT_BLOCK_ROWS + 300
+    rng = np.random.default_rng(5)
+    vecs = rng.standard_normal((n, 16))
+    for a, b in [(3, 70), (100, n - 1), (D._EXACT_BLOCK_ROWS - 1,
+                                         D._EXACT_BLOCK_ROWS),
+                 (D._EXACT_BLOCK_ROWS + 5, D._EXACT_BLOCK_ROWS + 9)]:
+        vecs[b] = vecs[a] + rng.standard_normal(16) * 0.01
+    ids = np.arange(n) * 7
+    got = D.embedding_dedup_pairs(
+        rd.from_pandas(pd.DataFrame({"vec_id": ids,
+                                     "embedding": list(vecs)})),
+        min_cosine=0.9, exact_threshold=n).to_pandas()
+
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    sims = unit @ unit.T
+    iu = np.triu_indices(n, k=1)
+    mask = sims[iu] >= 0.9
+    want = pd.DataFrame({"left_id": ids[iu[0][mask]],
+                         "right_id": ids[iu[1][mask]],
+                         "cosine": sims[iu][mask]})
+    assert len(want) >= 4
+    pd.testing.assert_frame_equal(got[["left_id", "right_id"]],
+                                  want[["left_id", "right_id"]])
+    np.testing.assert_allclose(got["cosine"], want["cosine"], rtol=0,
+                               atol=1e-12)
+
+
 def test_ann_brute_vs_numpy(ray_session):
     import ray.data as rd
 
@@ -366,6 +399,12 @@ def test_assign_components_ds_matches_local(ray_session, planted_docs):
         ds = ds.sort_values("id").reset_index(drop=True)
         assert dict(zip(ds["id"], ds["component"])) == \
             dict(zip(local["id"], local["component"]))
+
+
+def test_assign_components_ds_matches_local_exchange(ray_session,
+                                                     exchange_path,
+                                                     planted_docs):
+    test_assign_components_ds_matches_local(ray_session, planted_docs)
 
 
 def test_remove_duplicate_spans_planted(ray_session):

@@ -93,6 +93,11 @@ def test_ppr_local_vs_distributed(ray_session, tables_ds):
     assert top["vt_id"] == "u1#0#1"
 
 
+def test_ppr_local_vs_distributed_exchange(ray_session, exchange_path,
+                                           tables_ds):
+    test_ppr_local_vs_distributed(ray_session, tables_ds)
+
+
 def test_seed_dma_and_attribute_filter(ray_session, tables_ds):
     seeds = IG.seed_tables_dma(tables_ds, ["Alpha", "bravo"], "population")
     # the two population virtual tables plus the synonym-matched

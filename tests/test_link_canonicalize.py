@@ -749,6 +749,14 @@ def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path):
                         dataclasses.replace(cfg, link_shard_route=True))
 
 
+def test_link_mentions_shard_routed_equivalence_exchange(ray_session,
+                                                         exchange_path,
+                                                         tmp_path):
+    """The same equivalence with the shard gather, the co-partitioned
+    merge and the distinct-mentions dedupe on their sort exchanges."""
+    test_link_mentions_shard_routed_equivalence(ray_session, tmp_path)
+
+
 def test_distinct_mentions_from_tables_matches_mention_map(ray_session):
     """distinct_mentions(tables, from_tables=True) must emit EXACTLY the
     distinct mention strings of the full mention map — each ONCE.  The

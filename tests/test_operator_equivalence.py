@@ -189,9 +189,13 @@ def test_bucket_join_heavy_skew(ray_session, rng):
     assert (a["k"] == 7).sum() == (keys == 7).sum()
 
 
-def test_bucket_join_salted_equivalence(ray_session, rng):
+@pytest.mark.parametrize("hot_key", [7, 10, 13])
+def test_bucket_join_salted_equivalence(ray_session, rng, hot_key):
     """Salted join (hot probe rows spread, hot build rows replicated) must
-    produce exactly the unsalted result, for inner and left joins."""
+    produce exactly the unsalted result, for inner and left joins.  Two
+    salts of key 10 or 13 share one of the 32 exchange buckets, and the
+    driver finish holds every salt in one call: rows match on (key, salt)
+    or a probe row meets the replicated build rows more than once."""
     import ray.data as rd
 
     from mannheimsearchjoinsengine_ray.stages.joins import (
@@ -200,14 +204,15 @@ def test_bucket_join_salted_equivalence(ray_session, rng):
     )
 
     n = 30_000
-    keys = np.where(rng.random(n) < 0.4, 7,
-                    rng.integers(0, 500, n))          # key 7 is hot
+    keys = np.where(rng.random(n) < 0.4, hot_key,
+                    rng.integers(0, 500, n))
     left = pd.DataFrame({"k": keys, "payload": np.arange(n)})
-    right = pd.DataFrame({"rk": np.concatenate([np.arange(400), [7] * 3]),
+    right = pd.DataFrame({"rk": np.concatenate([np.arange(400),
+                                                [hot_key] * 3]),
                           "dim": np.arange(403)})      # hot key also dup'd
     lds, rds = rd.from_pandas(left), rd.from_pandas(right)
     hot = detect_hot_keys(lds, "k", min_count=5000)
-    assert 7 in hot
+    assert hot_key in hot
 
     for how in ("inner", "left"):
         plain = bucket_join(rd.from_pandas(left), rd.from_pandas(right),
@@ -352,3 +357,30 @@ def test_join_interiors_equivalent(ray_session, rng, monkeypatch):
             if not a[c].isna().any() and not b[c].isna().any():
                 assert a[c].dtype == b[c].dtype, (name, c, a[c].dtype,
                                                   b[c].dtype)
+
+
+# the join equivalence tests again, with every exchange running its sort
+
+
+def test_bucket_join_matches_pandas_exchange(ray_session, exchange_path, rng):
+    test_bucket_join_matches_pandas(ray_session, rng)
+
+
+def test_asof_join_matches_pandas_exchange(ray_session, exchange_path, rng):
+    test_asof_join_matches_pandas(ray_session, rng)
+
+
+def test_bucket_semi_join_matches_pandas_exchange(ray_session, exchange_path,
+                                                  rng):
+    test_bucket_semi_join_matches_pandas(ray_session, rng)
+
+
+def test_bucket_anti_join_matches_pandas_exchange(ray_session, exchange_path,
+                                                  rng):
+    test_bucket_anti_join_matches_pandas(ray_session, rng)
+
+
+@pytest.mark.parametrize("hot_key", [7, 10, 13])
+def test_bucket_join_salted_equivalence_exchange(ray_session, exchange_path,
+                                                 rng, hot_key):
+    test_bucket_join_salted_equivalence(ray_session, rng, hot_key)

@@ -97,6 +97,10 @@ def test_distributed_cc_random_graph(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_distributed_cc_random_graph_exchange(ray_session, exchange_path):
+    test_distributed_cc_random_graph(ray_session)
+
+
 def test_tables_per_key_distribution(ray_session):
     import ray.data as rd
 

@@ -2,7 +2,8 @@
 the unfused phase 1 it replaced (separate executions for triples →
 materialize, link → edges write and labels write), plus its commit rules:
 unreported side files are pruned, a keyless block keeps the split schema,
-and phase 1 runs 5 Ray Data executions per shard on the broadcast path."""
+partition bytes do not depend on run order, and phase 1 runs 5 Ray Data
+executions per shard on the broadcast path."""
 
 from __future__ import annotations
 
@@ -32,21 +33,6 @@ def corpus_dir(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("shard_pass_corpus"))
     P.write_corpus(d, n_pages=100, seed=42, parallelism=4)
     return d
-
-
-@pytest.fixture
-def ordered(ray_session):
-    """Blocks come back in input order.  Stage B sorts a partition by
-    (subj, pred) and rows tied on that key keep the order of the runs,
-    which by default is task completion order; byte comparisons of two
-    runs need the same order on both sides."""
-    from ray.data import DataContext
-
-    opts = DataContext.get_current().execution_options
-    before = opts.preserve_order
-    opts.preserve_order = True
-    yield
-    opts.preserve_order = before
 
 
 def unfused_phase1(pages_path: str, out_dir: str, cfg: PipelineConfig,
@@ -129,7 +115,7 @@ def assert_same_outputs(a: str, b: str) -> None:
 
 @pytest.mark.parametrize("broadcast_limit", [None, 0],
                          ids=["broadcast", "copartitioned"])
-def test_fused_equals_unfused(ray_session, ordered, corpus_dir, tmp_path,
+def test_fused_equals_unfused(ray_session, corpus_dir, tmp_path,
                               monkeypatch, broadcast_limit):
     cfg = PipelineConfig(**MERGE_CFG) if broadcast_limit is None else \
         PipelineConfig(link_broadcast_limit=broadcast_limit, **MERGE_CFG)
@@ -148,6 +134,49 @@ def test_fused_equals_unfused(ray_session, ordered, corpus_dir, tmp_path,
     # the co-partitioned path writes its edges from its own bucket exchange
     assert len(joins) == (0 if broadcast_limit is None else 2)
     assert_same_outputs(ref, out)
+
+
+def test_fused_equals_unfused_copartitioned_exchange(ray_session,
+                                                    exchange_path, corpus_dir,
+                                                    tmp_path, monkeypatch):
+    """The co-partitioned merge, the resolve's distinct-mentions dedupe and
+    phase 2's exchanges on their sort exchanges."""
+    test_fused_equals_unfused(ray_session, corpus_dir, tmp_path, monkeypatch,
+                              broadcast_limit=0)
+
+
+@pytest.mark.parametrize("split_rows", [None, 40], ids=["whole", "split"])
+def test_partition_bytes_ignore_run_order(ray_session, tmp_path, split_rows):
+    """Stage B writes the same bytes whatever order the runs are reported
+    in (task completion order): runs that repeat each (subj, pred) with
+    other objects, merged with ``counts`` forward and reversed, give
+    byte-identical partition files, whole and range-split."""
+    runs = str(tmp_path / "runs")
+    os.makedirs(runs)
+    split = kg._run_splitter(runs, 2, "uncompressed")
+    counts = []
+    for b in range(4):
+        n = 60
+        counts += split(pa.table({
+            "subj": [f"http://s/{i % 5}" for i in range(n)],
+            "pred": [f"p{i % 2}" for i in range(n)],
+            "obj": [f"o{i % 3}" for i in range(n)],
+            "obj_type": ["string" if b % 2 else "int"] * n,
+            "source_url": [f"http://u/{b}"] * n})).to_pylist()
+    outs = []
+    for name, order in (("forward", counts), ("reversed", counts[::-1])):
+        src = str(tmp_path / f"runs-{name}")
+        shutil.copytree(runs, src)
+        outs.append(str(tmp_path / name))
+        kg._merge_runs(order, outs[-1], src, "fp", split_rows)
+    files = [sorted(os.path.relpath(f, out) for f in glob.glob(
+        os.path.join(out, "part=*", "*.parquet"))) for out in outs]
+    assert files[0] == files[1] and files[0]
+    if split_rows:
+        assert any("data-00001" in f for f in files[0])
+    for f in files[0]:
+        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f),
+                           shallow=False), f
 
 
 def test_unreported_side_files_are_pruned(ray_session, corpus_dir, tmp_path,
