@@ -4,9 +4,10 @@ Search Joins Engine (reference surveyed in SURVEY.md; read-only at
 /root/reference).
 
 Built from scratch on ray.data.Dataset pipelines: zero-copy Arrow
-map_batches for extraction / triplification, actor pools for stateful
-linking, groupby/aggregate shuffles for canonicalization, and a sorted
-partitioned-Parquet materialize with per-partition lineage manifests.
+map_batches for extraction / triplification, task-form linking over
+per-worker index caches, groupby/aggregate shuffles for canonicalization,
+and a sorted partitioned-Parquet materialize with per-partition lineage
+manifests.
 
 Layout:
   functions/  — pure scalar/vectorized functions (normalizers, parsers,
@@ -15,7 +16,7 @@ Layout:
   stages/     — Dataset -> Dataset stage implementations
   pipelines/  — end-to-end pipeline drivers (extract -> triples -> link ->
                 canonicalize -> materialize) with checkpoint/resume
-  state/      — sharded inverted-index build/load for the linker actors
+  state/      — sharded inverted-index build/load for the linker
 """
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ reference's shipped defaults where they exist.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Sentinel the reference stores for empty/cleaned-away values
 # (SJ/utils/PipelineConfig.java:4).  In Arrow we use real nulls; the sentinel
@@ -94,9 +94,6 @@ class PipelineConfig:
     header_filter: tuple[str, ...] = ()
 
     # --- Ray execution knobs (new-engine only) ---
-    batch_size: int = 4096               # rows per batch for page-level stages
-    triple_batch_size: int = 65536       # rows per batch for triple-level stages
-    linker_concurrency: int = 4          # actor pool size
     link_broadcast_limit: int = 100_000  # distinct mentions broadcastable via
     # ray.put; above it merge tasks fall back to per-worker resolution caches
     num_index_shards: int = 16           # hash(ENTITY) shards for the inverted index
@@ -108,9 +105,6 @@ class PipelineConfig:
     link_payload_broadcast_bytes: int = 64 << 20  # resolved-payload broadcast guard
     num_output_partitions: int = 16      # hash(subj) partitions of the triple sink
     cc_max_iterations: int = 50          # connected-components fixpoint cap
-    hot_key_salt: int = 8                # salt buckets for skewed keys
-
-    extra: dict = field(default_factory=dict)
 
 
 DEFAULT_CONFIG = PipelineConfig()

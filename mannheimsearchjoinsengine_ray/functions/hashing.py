@@ -13,8 +13,6 @@ Everything is seeded and stable across processes/machines:
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
@@ -27,12 +25,6 @@ def hash64(values) -> np.ndarray:
     return pd.util.hash_array(arr, categorize=False)
 
 
-def hash64_single(value: str) -> int:
-    """Stable uint64 hash of one string (blake2b — NOT the same function as
-    hash64; use consistently within one structure)."""
-    return int.from_bytes(hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest(), "little")
-
-
 def _perm_params(num_perm: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     a = rng.integers(1, _MERSENNE, size=num_perm, dtype=np.uint64) | np.uint64(1)
@@ -41,8 +33,9 @@ def _perm_params(num_perm: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]
 
 
 class MinHasher:
-    """MinHash over token/shingle sets.  One instance per actor/worker;
-    construction compiles the permutation table once."""
+    """MinHash over token/shingle sets.  Construction draws the permutation
+    parameters (~50 µs at 128 permutations), cheap enough to rebuild per
+    batch."""
 
     def __init__(self, num_perm: int = 64, seed: int = 42):
         self.num_perm = num_perm
@@ -58,6 +51,8 @@ class MinHasher:
 
     def signatures(self, docs_token_hashes: list[np.ndarray]) -> np.ndarray:
         """list of per-doc token-hash arrays → (n_docs, num_perm) matrix."""
+        if not docs_token_hashes:
+            return np.empty((0, self.num_perm), dtype=np.uint64)
         return np.stack([self.signature(h) for h in docs_token_hashes])
 
 
@@ -104,14 +99,6 @@ def hamming_distance64(a: np.ndarray, b: np.ndarray | np.uint64) -> np.ndarray:
     # popcount via unpacking bytes
     as_bytes = x.astype(np.uint64).view(np.uint8).reshape(-1, 8)
     return np.unpackbits(as_bytes, axis=1).sum(axis=1)
-
-
-def char_shingle_hashes(text: str, k: int = 5) -> np.ndarray:
-    """Hashes of all k-char shingles of a text (uint64)."""
-    if len(text) < k:
-        return hash64([text]) if text else np.empty(0, dtype=np.uint64)
-    shingles = [text[i:i + k] for i in range(len(text) - k + 1)]
-    return hash64(shingles)
 
 
 def word_shingle_hashes(tokens: list[str], k: int = 3) -> np.ndarray:

@@ -1086,7 +1086,7 @@ def q_embedding_neardup(sf_dir: str):
 
 def q_multimodal_decode(sf_dir: str):
     """Multimodal REAL decode: deterministic PNG/PPM payloads through the
-    decode actor pool (stdlib codecs, functions/codecs.py) → exact integer
+    decode tasks (stdlib codecs, functions/codecs.py) → exact integer
     per-channel pixel stats.
 
     SQL-oracled: the decoded pixels persist exploded to parquet (the codecs
@@ -1105,7 +1105,7 @@ def q_multimodal_decode(sf_dir: str):
 
 def q_multimodal_audio(sf_dir: str):
     """Audio features over PCM WAV payloads (stdlib wave + numpy): duration,
-    RMS, zero crossings through the actor pool.
+    RMS, zero crossings through the audio feature tasks.
 
     SQL-oracled: decoded float64 mono samples persist to parquet and DuckDB
     independently recomputes duration truncation, sqrt(avg(s²)) and the
@@ -1166,22 +1166,13 @@ def q_kg_fused_table(sf_dir: str):
     if not _os.path.isdir(index_dir) or not _os.listdir(index_dir):
         gaz = rd.from_arrow(pa.table(make_gazetteer(500)))
         build_index(gaz, index_dir, num_shards=4)
-    import dataclasses
-
-    import ray as _ray
-
-    from ..config import DEFAULT_CONFIG
-
     pages = read_pages(corpus, columns=["url", "html"])
     tables = extract_tables_ds(pages).materialize()
     mentions = tables.map_batches(mentions_from_tables_batch,
                                   batch_format="pyarrow").materialize()
-    ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    link_cfg = dataclasses.replace(DEFAULT_CONFIG,
-                                   linker_concurrency=max(2, ncpu // 2))
-    edges = top1_links(link_mentions(mentions, index_dir, link_cfg)).to_pandas()
+    edges = top1_links(link_mentions(mentions, index_dir)).to_pandas()
     # bound the fused view: 200 mentions (maxMatchedTables analog); sorted
-    # first so the selection is deterministic across actor-pool output orders
+    # first so the selection is deterministic across task output orders
     edges = edges.sort_values(["mention", "url", "table_idx", "row_idx"]) \
         .drop_duplicates("mention").head(200)
 
@@ -1267,11 +1258,8 @@ def q_kg_refine_link(sf_dir: str):
         "row_idx": rows["row_idx"], "mention": rows["mention"],
         "expected_uri": rows["expected_uri"],
         "context": [CONTEXT_SEP.join(c) for c in rows["context"]]})
-    from ..config import PipelineConfig
-
-    cfg = PipelineConfig(linker_concurrency=1)
-    top1 = top1_links(link_mentions(rd.from_arrow(mentions), index_dir,
-                                    cfg)).to_pandas()
+    top1 = top1_links(link_mentions(rd.from_arrow(mentions),
+                                    index_dir)).to_pandas()
     exp = pd.DataFrame({"row_idx": rows["row_idx"],
                         "expected_uri": rows["expected_uri"]})
     out = top1.merge(exp, on="row_idx")
@@ -1327,23 +1315,11 @@ def q_kg_link_quality(sf_dir: str):
     if not _os.path.isdir(index_dir) or not _os.listdir(index_dir):
         gaz = rd.from_arrow(pa.table(make_gazetteer(500)))
         build_index(gaz, index_dir, num_shards=4)
-    import dataclasses
-
-    import ray as _ray
-
-    from ..config import DEFAULT_CONFIG
-
     pages = read_pages(corpus, columns=["url", "html"])
-    # materialize before the actor pool, and size the pool to HALF the
-    # cluster — a pool claiming every CPU starves the upstream stage and
-    # deadlocks the streaming executor at small clusters (run_full's rule)
     tables = extract_tables_ds(pages).materialize()
     mentions = tables.map_batches(mentions_from_tables_batch,
                                   batch_format="pyarrow").materialize()
-    ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    cfg = dataclasses.replace(DEFAULT_CONFIG,
-                              linker_concurrency=max(2, ncpu // 2))
-    got = top1_links(link_mentions(mentions, index_dir, cfg)).to_pandas()
+    got = top1_links(link_mentions(mentions, index_dir)).to_pandas()
     gold_rows = []
     for pid in range(n_pages):
         gold_rows.extend(golden_links_for_page(make_page_spec(pid)))
@@ -1857,7 +1833,7 @@ def _persist_media_raw() -> None:
         for mid, p in zip(media.column("media_id").to_pylist(),
                           media.column("payload").to_pylist()):
             x, rate = codecs.decode_wav(p)
-            mono = x.mean(axis=1, dtype=np.float64)  # = AudioFeatures downmix
+            mono = x.mean(axis=1, dtype=np.float64)  # = audio_features_batch downmix
             n = mono.size
             mids.append(np.full(n, mid, dtype=np.int64))
             idxs.append(np.arange(n, dtype=np.int64))

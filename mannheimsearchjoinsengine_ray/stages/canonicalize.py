@@ -41,8 +41,9 @@ from .aggregates import auto_bucket_count, bucket_map
 # ---------------------------------------------------------------------------
 
 class LshBlocker:
-    """(id, name) batches → (band_idx, band_hash, id, name) rows.  Stateful:
-    the permutation tables compile once per actor/worker."""
+    """(id, name) batches → (band_idx, band_hash, id, name) band rows
+    (:func:`band_rows`).  Holds the permutation tables; the function form
+    :func:`lsh_block_batch` keeps one instance per worker process."""
 
     def __init__(self, num_perm: int = 64, num_bands: int = 8,
                  shingle_tokens: bool = True):
@@ -59,17 +60,11 @@ class LshBlocker:
         return hash64(items)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("id").to_pylist()
-        names = batch.column("name").to_pylist()
-        sigs = self.mh.signatures([self._token_hashes(n or "") for n in names])
-        bk = band_keys(sigs, self.num_bands)
-        n = len(ids)
-        return pa.table({
-            "band_idx": pa.array(np.repeat(np.arange(self.num_bands, dtype=np.int32), n)),
-            "band_hash": pa.array(bk.T.reshape(-1).astype("int64")),
-            "id": pa.array(np.tile(np.array(ids, dtype=object), self.num_bands)),
-            "name": pa.array(np.tile(np.array(names, dtype=object), self.num_bands)),
-        })
+        names = batch.column("name")
+        sigs = self.mh.signatures([self._token_hashes(n or "")
+                                   for n in names.to_pylist()])
+        return band_rows(batch.column("id"), band_keys(sigs, self.num_bands),
+                         name=names)
 
 
 _BLOCKER_CACHE: dict[tuple[int, int], "LshBlocker"] = {}
@@ -78,8 +73,7 @@ _BLOCKER_CACHE: dict[tuple[int, int], "LshBlocker"] = {}
 def lsh_block_batch(batch: pa.Table, num_perm: int = 64,
                     num_bands: int = 8) -> pa.Table:
     """Function form of LshBlocker for stateless tasks: the hasher is cached
-    at module level (once per worker process — same amortization as an actor
-    without the pool spin-up; right for light state like permutation tables)."""
+    at module level (once per worker process)."""
     key = (num_perm, num_bands)
     blocker = _BLOCKER_CACHE.get(key)
     if blocker is None:
@@ -88,6 +82,22 @@ def lsh_block_batch(batch: pa.Table, num_perm: int = 64,
 
 
 _BAND_COLS = ("band_idx", "band_hash", "id")
+
+
+def band_rows(ids, band_hashes: np.ndarray, **payload) -> pa.Table:
+    """The one band-row layout every LSH blocker emits: ``ids`` (an Arrow
+    column of n ids) with their (n, bands) ``band_hashes`` → rows
+    (band_idx int32, band_hash int64, id, payload…) in band-major order
+    (row ``b * n + i`` is row i in band b).  Each ``payload`` Arrow column
+    rides along per row — what ``_band_pairs`` emits as left_/right_
+    columns."""
+    n, bands = band_hashes.shape
+    take = pa.array(np.tile(np.arange(n, dtype=np.int64), bands))
+    cols = {"band_idx": pa.array(np.repeat(np.arange(bands, dtype=np.int32), n)),
+            "band_hash": pa.array(band_hashes.T.reshape(-1).astype(np.int64)),
+            "id": ids.take(take)}
+    cols.update({c: v.take(take) for c, v in payload.items()})
+    return pa.table(cols)
 
 
 def _band_pairs(blocked: pd.DataFrame, max_block: int = 50) -> pd.DataFrame:

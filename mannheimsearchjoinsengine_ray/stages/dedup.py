@@ -24,7 +24,7 @@ import pyarrow as pa
 
 from ..functions import hashing
 from ..functions.similarity import jaccard, ngrams_in_bounds
-from .canonicalize import candidate_pairs, connected_components_local
+from .canonicalize import band_rows, candidate_pairs, connected_components_local
 
 
 # ---------------------------------------------------------------------------
@@ -190,37 +190,21 @@ def remove_duplicate_spans(docs_ds, k: int = 5, min_count: int = 2,
 
     return joined.map_batches(finish, batch_format="pandas")
 
-class DocShingler:
-    """(id, text) → LSH band rows over word k-shingles.  Stateful stage:
-    permutation tables compile once per worker.
+def shingle_band_rows(batch: pa.Table, num_perm: int = 128,
+                      num_bands: int = 32, k: int = 3,
+                      id_col: str = "doc_id",
+                      text_col: str = "text") -> pa.Table:
+    """(id, text) → LSH band rows over word k-shingles.
 
     Band rows carry (band_idx, band_hash, id) ONLY — tiling the document
     text into every band row would amplify the blocking shuffle by
     ``num_bands``× the corpus text (measured ×32 at the defaults); the
     verify stage joins text back onto the few surviving candidate ids via
     :func:`attach_pair_payloads`."""
-
-    def __init__(self, num_perm: int = 128, num_bands: int = 32, k: int = 3,
-                 id_col: str = "doc_id", text_col: str = "text"):
-        self.mh = hashing.MinHasher(num_perm=num_perm)
-        self.num_bands = num_bands
-        self.k = k
-        self.id_col = id_col
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        texts = batch.column(self.text_col).to_pylist()
-        hashes = [hashing.word_shingle_hashes((t or "").split(), self.k)
-                  for t in texts]
-        sigs = self.mh.signatures(hashes)
-        bk = hashing.band_keys(sigs, self.num_bands)
-        n = len(ids)
-        return pa.table({
-            "band_idx": pa.array(np.repeat(np.arange(self.num_bands, dtype=np.int32), n)),
-            "band_hash": pa.array(bk.T.reshape(-1).astype("int64")),
-            "id": pa.array(np.tile(np.array(ids), self.num_bands)),
-        })
+    sigs = hashing.MinHasher(num_perm=num_perm).signatures(
+        [hashing.word_shingle_hashes((t or "").split(), k)
+         for t in batch.column(text_col).to_pylist()])
+    return band_rows(batch.column(id_col), hashing.band_keys(sigs, num_bands))
 
 
 def _distinct_pairs(pairs_ds):
@@ -324,10 +308,10 @@ def minhash_dedup_pairs(docs_ds, min_jaccard: float = 0.7, num_perm: int = 128,
     exact-Jaccard verify."""
     docs_ds = docs_ds.materialize()  # consumed twice: blocking + payloads
     blocked = docs_ds.map_batches(
-        DocShingler,
-        fn_constructor_kwargs={"num_perm": num_perm, "num_bands": num_bands,
-                               "k": k, "id_col": id_col, "text_col": text_col},
-        batch_format="pyarrow", concurrency=2)
+        shingle_band_rows,
+        fn_kwargs={"num_perm": num_perm, "num_bands": num_bands, "k": k,
+                   "id_col": id_col, "text_col": text_col},
+        batch_format="pyarrow")
     pairs = _distinct_pairs(candidate_pairs(blocked))
     pairs = attach_pair_payloads(pairs, docs_ds, id_col, text_col)
     return pairs.map_batches(
@@ -414,21 +398,18 @@ def assign_components_ds(pairs_ds, ids_ds=None, id_col: str = "doc_id",
 # SimHash near-dedup
 # ---------------------------------------------------------------------------
 
-class SimHasher:
-    def __init__(self, id_col: str = "doc_id", text_col: str = "text"):
-        self.id_col = id_col
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        texts = batch.column(self.text_col).to_pylist()
-        sims = np.array(
-            [hashing.simhash64(hashing.hash64((t or "").split() or [""]))
-             for t in texts], dtype=np.uint64)
-        return pa.table({
-            "id": pa.array(ids),
-            "simhash": pa.array(sims.astype("int64")),
-        })
+def simhash_band_rows(batch: pa.Table, id_col: str = "doc_id",
+                      text_col: str = "text") -> pa.Table:
+    """(id, text) → 64-bit simhash band rows: the 4 16-bit chunks are the
+    band hashes, and the simhash rides along as ``sh`` — the 8-byte verify
+    payload is small enough for the band shuffle (unlike document text)."""
+    sh = np.array(
+        [hashing.simhash64(hashing.hash64((t or "").split() or [""]))
+         for t in batch.column(text_col).to_pylist()], dtype=np.uint64)
+    chunks = (sh[:, None] >> (np.uint64(16) * np.arange(4, dtype=np.uint64))) \
+        & np.uint64(0xFFFF)
+    return band_rows(batch.column(id_col), chunks,
+                     sh=pa.array(sh.astype(np.int64)))
 
 
 def simhash_dedup_pairs(docs_ds, max_hamming: int = 3,
@@ -436,31 +417,9 @@ def simhash_dedup_pairs(docs_ds, max_hamming: int = 3,
     """SimHash banding: 4 chunks of 16 bits — two docs within Hamming ≤ 3 of
     each other share at least one exact chunk (pigeonhole) → groupby(chunk)
     candidates → Hamming verify."""
-    sims = docs_ds.map_batches(
-        SimHasher, fn_constructor_kwargs={"id_col": id_col, "text_col": text_col},
-        batch_format="pyarrow", concurrency=2)
-
-    def explode_chunks(t: pa.Table) -> pa.Table:
-        ids = t.column("id").to_pylist()
-        sh = np.array(t.column("simhash").to_pylist(), dtype=np.int64).astype(np.uint64)
-        n = len(ids)
-        out_idx, out_chunk, out_id, out_sim = [], [], [], []
-        for c in range(4):
-            chunk = ((sh >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype("int64")
-            out_idx.extend([c] * n)
-            out_chunk.extend(chunk.tolist())
-            out_id.extend(ids)
-            out_sim.extend(sh.astype("int64").tolist())
-        # the 8-byte simhash IS the verify payload — small enough to ride
-        # the band shuffle directly (unlike document text)
-        return pa.table({
-            "band_idx": pa.array(out_idx, pa.int32()),
-            "band_hash": pa.array(out_chunk, pa.int64()),
-            "id": pa.array(out_id),
-            "sh": pa.array(out_sim, pa.int64()),
-        })
-
-    pairs = candidate_pairs(sims.map_batches(explode_chunks, batch_format="pyarrow"))
+    pairs = candidate_pairs(docs_ds.map_batches(
+        simhash_band_rows, fn_kwargs={"id_col": id_col, "text_col": text_col},
+        batch_format="pyarrow"))
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -487,10 +446,8 @@ def ngram_jaccard_pairs(docs_ds, min_jaccard: float = 0.6,
     ``minhash_dedup_pairs``."""
     docs_ds = docs_ds.materialize()  # consumed twice: blocking + payloads
     blocked = docs_ds.map_batches(
-        DocShingler,
-        fn_constructor_kwargs={"id_col": id_col, "text_col": text_col,
-                               "num_perm": 128, "num_bands": 32},
-        batch_format="pyarrow", concurrency=2)
+        shingle_band_rows, fn_kwargs={"id_col": id_col, "text_col": text_col},
+        batch_format="pyarrow")
     pairs = attach_pair_payloads(
         _distinct_pairs(candidate_pairs(blocked)), docs_ds, id_col, text_col)
 
@@ -510,45 +467,29 @@ def ngram_jaccard_pairs(docs_ds, min_jaccard: float = 0.6,
 # embedding-cosine near-dedup
 # ---------------------------------------------------------------------------
 
-class HyperplaneBucketer:
-    """Random-hyperplane LSH for unit vectors: 16 signed projections → 16-bit
-    bucket; near-identical vectors share buckets with high probability.
-    Multiple independent tables (bands) boost recall."""
-
-    def __init__(self, dim: int, num_tables: int = 4, bits: int = 12, seed: int = 42,
-                 id_col: str = "vec_id", vec_col: str = "embedding"):
-        rng = np.random.default_rng(seed)
-        self.planes = rng.standard_normal((num_tables, bits, dim)).astype(np.float32)
-        self.num_tables = num_tables
-        self.bits = bits
-        self.id_col = id_col
-        self.vec_col = vec_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        vecs = np.asarray(batch.column(self.vec_col).to_pylist(), dtype=np.float32)
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        unit = vecs / np.maximum(norms, 1e-12)
-        n = len(ids)
-        # unit vectors ride the band shuffle as fixed-width little-endian
-        # f32 bytes (zero parse/format cost, ~2.5× smaller than the decimal
-        # string form this replaced)
-        vec_bytes = [unit[i].astype("<f4").tobytes() for i in range(n)]
-        out_idx, out_bucket, out_id, out_vec = [], [], [], []
-        weights = (1 << np.arange(self.bits)).astype(np.int64)
-        for t in range(self.num_tables):
-            proj = unit @ self.planes[t].T            # (n, bits)
-            bucket = ((proj > 0).astype(np.int64) * weights).sum(axis=1)
-            out_idx.extend([t] * n)
-            out_bucket.extend(bucket.tolist())
-            out_id.extend(ids)
-            out_vec.extend(vec_bytes)
-        return pa.table({
-            "band_idx": pa.array(out_idx, pa.int32()),
-            "band_hash": pa.array(out_bucket, pa.int64()),
-            "id": pa.array(out_id),
-            "vec": pa.array(out_vec, pa.binary()),
-        })
+def hyperplane_band_rows(batch: pa.Table, dim: int, num_tables: int = 4,
+                         bits: int = 12, seed: int = 42,
+                         id_col: str = "vec_id",
+                         vec_col: str = "embedding") -> pa.Table:
+    """Random-hyperplane LSH for unit vectors: ``bits`` signed projections
+    → one bucket per table (band); near-identical vectors share buckets with
+    high probability, and more tables boost recall.  The unit vectors ride
+    the band shuffle as fixed-width little-endian f32 bytes (``vec``)."""
+    planes = np.random.default_rng(seed).standard_normal(
+        (num_tables, bits, dim)).astype(np.float32)
+    ids = batch.column(id_col)
+    vecs = np.asarray(batch.column(vec_col).to_pylist(),
+                      dtype=np.float32).reshape(len(ids), dim)
+    unit = np.ascontiguousarray(
+        vecs / np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12),
+        dtype="<f4")
+    weights = np.int64(1) << np.arange(bits, dtype=np.int64)
+    buckets = np.stack([((unit @ p.T > 0) * weights).sum(axis=1)
+                        for p in planes], axis=1)
+    offsets = np.arange(len(ids) + 1, dtype=np.int32) * (4 * dim)
+    vec = pa.Array.from_buffers(pa.binary(), len(ids),
+                                [None, pa.py_buffer(offsets), pa.py_buffer(unit)])
+    return band_rows(ids, buckets, vec=vec)
 
 
 # the exact path's row block: a 2048 × n float64 slice of the similarities
@@ -564,11 +505,20 @@ def embedding_dedup_pairs(emb_ds, min_cosine: float = 0.95, dim: int = 64,
     size); above it, the hyperplane-bucketed distributed path runs."""
     n = emb_ds.count()
     if n <= exact_threshold:
+        import ray.data as rd
+
         df = emb_ds.to_pandas()
-        vecs = np.asarray(df[vec_col].tolist(), dtype=np.float64)
-        unit = vecs / np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-        ids = df[id_col].to_numpy()
-        li, ri, cos = [], [], []
+        if n == 0:  # an empty Dataset's frame has no columns
+            schema = emb_ds.schema()
+            ids = np.empty(0, np.int64 if schema is None else
+                           schema.base_schema.field(id_col).type.to_pandas_dtype())
+        else:
+            ids = df[id_col].to_numpy()
+            vecs = np.asarray(df[vec_col].tolist(), dtype=np.float64)
+            unit = vecs / np.maximum(
+                np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
+        # typed empty pieces first, so an empty input still concatenates
+        li, ri, cos = [ids[:0]], [ids[:0]], [np.empty(0)]
         # row blocks against the rows from their start onward, j > i kept:
         # the pairs of the full upper triangle in its order, without the
         # n×n matrix and its index arrays (~6 GB at n = 20k)
@@ -578,21 +528,14 @@ def embedding_dedup_pairs(emb_ds, min_cosine: float = 0.95, dim: int = 64,
             li.append(ids[s + i])
             ri.append(ids[s + j])
             cos.append(sims[i, j])
-        out = pd.DataFrame({"left_id": np.concatenate(li),
-                            "right_id": np.concatenate(ri),
-                            "cosine": np.concatenate(cos)})
-        import ray.data as rd
-
-        if out.empty:
-            out = pd.DataFrame({"left_id": pd.Series(dtype=df[id_col].dtype),
-                                "right_id": pd.Series(dtype=df[id_col].dtype),
-                                "cosine": pd.Series(dtype="float64")})
-        return rd.from_pandas(out)
+        return rd.from_pandas(pd.DataFrame({"left_id": np.concatenate(li),
+                                            "right_id": np.concatenate(ri),
+                                            "cosine": np.concatenate(cos)}))
 
     blocked = emb_ds.map_batches(
-        HyperplaneBucketer,
-        fn_constructor_kwargs={"dim": dim, "id_col": id_col, "vec_col": vec_col},
-        batch_format="pyarrow", concurrency=2)
+        hyperplane_band_rows,
+        fn_kwargs={"dim": dim, "id_col": id_col, "vec_col": vec_col},
+        batch_format="pyarrow")
     pairs = candidate_pairs(blocked, max_block=200)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:

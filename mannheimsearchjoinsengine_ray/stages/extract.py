@@ -634,8 +634,8 @@ _TABLE_RECORD_SCHEMA = pa.schema([
 class TableExtractor:
     """pages → one record per valid table (normalized rows + key/type metadata).
 
-    Callable class so config lives once per worker (actor-pool compatible,
-    also fine as a task with fn_constructor_kwargs)."""
+    Callable instance carrying its config: ``map_batches(TableExtractor(cfg))``
+    runs it as a plain task function."""
 
     def __init__(self, cfg: PipelineConfig = DEFAULT_CONFIG):
         self.cfg = cfg

@@ -690,14 +690,15 @@ def _rescore(res: pa.Table, gr: np.ndarray, cells: list[list[str]],
 
 
 class LinkerActor:
-    """Stateful linker: loads the label index ONCE per actor (__init__) and
-    links one batch of mentions per __call__ — the batch's distinct
-    mentions resolve in one ``score_many`` scan and the shared merge core
-    ``_link_rows`` emits the edges, the same resolve and merge as the
-    broadcast path, so the two cannot drift.
+    """Stateful linker: loads the label index ONCE (__init__) and links one
+    batch of mentions per __call__ — the batch's distinct mentions resolve
+    in one ``score_many`` scan and the shared merge core ``_link_rows``
+    emits the edges, the same resolve and merge as the broadcast path, so
+    the two cannot drift.
 
-    Pass to ``map_batches(LinkerActor, fn_constructor_kwargs=...,
-    concurrency=N, batch_size=B)``."""
+    The package keeps one per worker process in ``_WORKER_CORES``
+    (:func:`_core_for`), reached from task functions; the CLI builds one on
+    the driver."""
 
     def __init__(self, index_dir: str, top_k: int = 5,
                  max_edit: int = 1, fuzzy: bool = True,

@@ -26,7 +26,6 @@ import time
 
 import pyarrow as pa
 
-from ..functions.hashing import hash64
 from ..state import fsio
 
 # rows tied on (subj, pred) need the rest of the triple in the sort key too:
@@ -38,12 +37,6 @@ def sort_triples(table: pa.Table) -> pa.Table:
     """``table`` sorted by the ``SORT_KEY`` columns it has."""
     return table.sort_by([(c, "ascending") for c in SORT_KEY
                           if c in table.column_names])
-
-
-def add_partition_column(batch: pa.Table, num_partitions: int,
-                         key: str = "subj") -> pa.Table:
-    part = hash64(batch.column(key).to_pylist()) % num_partitions
-    return batch.append_column("part", pa.array(part.astype("int32")))
 
 
 def manifest_path(out_dir: str, part: int) -> str:

@@ -1,7 +1,7 @@
 """Multimodal columns: image/audio/video as opaque ``binary`` columns with
 typed metadata.
 
-The Ray-side plumbing (schema, actor-pool stages, small batch sizes for large
+The Ray-side plumbing (schema, task stages, small batch sizes for large
 payloads, output layout) is real and tested — and so is decoding for the
 formats the standard library can honestly handle (``functions/codecs.py``:
 PPM, 8-bit PNG, PCM WAV — numpy + zlib + wave, no external libraries).
@@ -10,8 +10,9 @@ Exotic codecs (JPEG, MP3, video containers) still raise a clear
 the distributed path can always be exercised); videos use a simple
 length-prefixed concatenated-image container documented below.
 
-Stage shape: callable classes for ``map_batches(cls, concurrency=N,
-batch_size=SMALL, num_cpus=c)`` — codec state belongs in __init__.
+Stage shape: module-level batch functions for ``map_batches(fn,
+fn_kwargs=..., batch_size=MEDIA_BATCH_SIZE)`` — they hold no codec state,
+so they run as plain tasks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ MEDIA_SCHEMA = pa.schema([
     ("duration_ms", pa.int32()),
 ])
 
-# Large binary payloads: keep batches small so batch × concurrency fits the
+# Large binary payloads: keep batches small so the batches in flight fit the
 # worker heap (ray_guide 'Memory-aware').
 MEDIA_BATCH_SIZE = 32
 
@@ -102,190 +103,161 @@ def make_fake_media(n: int, media_type: str = "image", seed: int = 42) -> pa.Tab
     })
 
 
-class ImageDecoder:
+def _image_features(payload: bytes, fake: bool, dim: int) -> np.ndarray:
+    if fake:
+        h = hashlib.blake2b(payload, digest_size=dim * 4).digest()
+        return np.frombuffer(h, dtype=np.uint32).astype(np.float32) / 2**32
+    img = codecs.decode_image(payload).astype(np.float32) / 255.0
+    lum = img.mean(axis=2)
+    grid = codecs.resize_nearest((lum * 255).astype(np.uint8), 2, 2) \
+        .astype(np.float32).reshape(-1) / 255.0
+    feats = np.concatenate([
+        img.mean(axis=(0, 1)), img.std(axis=(0, 1)), grid,
+        [img.shape[0] / 1024.0, img.shape[1] / 1024.0]])
+    out = np.zeros(dim, dtype=np.float32)
+    out[:min(dim, feats.size)] = feats[:dim]
+    return out
+
+
+def image_features_batch(batch: pa.Table, deterministic_fake: bool = False,
+                         feature_dim: int = 16) -> pa.Table:
     """payload → fixed-dim feature vector.
 
     Real path: decode PNG/PPM (stdlib codecs), features = per-channel
     mean/std + a 2×2 downsampled luminance grid scaled into ``feature_dim``
     slots (deterministic, library-free).  Unsupported formats raise;
     ``deterministic_fake`` hashes the payload instead (always available)."""
-
-    def __init__(self, deterministic_fake: bool = False, feature_dim: int = 16):
-        self.fake = deterministic_fake
-        self.dim = feature_dim
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        if self.fake:
-            h = hashlib.blake2b(payload, digest_size=self.dim * 4).digest()
-            return np.frombuffer(h, dtype=np.uint32).astype(np.float32) / 2**32
-        img = codecs.decode_image(payload).astype(np.float32) / 255.0
-        lum = img.mean(axis=2)
-        grid = codecs.resize_nearest((lum * 255).astype(np.uint8), 2, 2) \
-            .astype(np.float32).reshape(-1) / 255.0
-        feats = np.concatenate([
-            img.mean(axis=(0, 1)), img.std(axis=(0, 1)), grid,
-            [img.shape[0] / 1024.0, img.shape[1] / 1024.0]])
-        out = np.zeros(self.dim, dtype=np.float32)
-        out[:min(self.dim, feats.size)] = feats[:self.dim]
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = [self._decode(p) for p in batch.column("payload").to_pylist()]
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "features": pa.array([f.tolist() for f in feats],
-                                 pa.list_(pa.float32())),
-        })
+    feats = [_image_features(p, deterministic_fake, feature_dim)
+             for p in batch.column("payload").to_pylist()]
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "features": pa.array([f.tolist() for f in feats],
+                             pa.list_(pa.float32())),
+    })
 
 
-class ImageResizer:
+def _resize(p: bytes, w: int, h: int, fake: bool) -> bytes:
+    if fake:
+        return (p[:w * h]).ljust(w * h, b"\0")
+    small = codecs.resize_nearest(codecs.decode_image(p), w, h)
+    return codecs.encode_ppm(small) if codecs.sniff_media(p) == "ppm" \
+        else codecs.encode_png(small)
+
+
+def resize_batch(batch: pa.Table, target_w: int = 32, target_h: int = 24,
+                 deterministic_fake: bool = False) -> pa.Table:
     """payload → resized payload.  Real path: decode PNG/PPM, nearest-
     neighbor numpy resize, re-encode in the same container; fake mode
     truncates/pads bytes (plumbing only)."""
-
-    def __init__(self, target_w: int = 32, target_h: int = 24,
-                 deterministic_fake: bool = False):
-        self.w, self.h = target_w, target_h
-        self.fake = deterministic_fake
-
-    def _resize(self, p: bytes) -> bytes:
-        if self.fake:
-            size = self.w * self.h
-            return (p[:size]).ljust(size, b"\0")
-        kind = codecs.sniff_media(p)
-        img = codecs.decode_image(p)
-        small = codecs.resize_nearest(img, self.w, self.h)
-        return codecs.encode_ppm(small) if kind == "ppm" \
-            else codecs.encode_png(small)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = [self._resize(p) for p in batch.column("payload").to_pylist()]
-        out = {n: batch.column(n) for n in batch.column_names}
-        out["payload"] = pa.array(payloads, pa.binary())
-        out["width"] = pa.array([self.w] * batch.num_rows, pa.int32())
-        out["height"] = pa.array([self.h] * batch.num_rows, pa.int32())
-        return pa.table(out)
+    out = {n: batch.column(n) for n in batch.column_names}
+    out["payload"] = pa.array(
+        [_resize(p, target_w, target_h, deterministic_fake)
+         for p in batch.column("payload").to_pylist()], pa.binary())
+    out["width"] = pa.array([target_w] * batch.num_rows, pa.int32())
+    out["height"] = pa.array([target_h] * batch.num_rows, pa.int32())
+    return pa.table(out)
 
 
-class AudioFeatures:
-    """WAV payload → (duration_ms, rms, zero_crossings, 4 spectral-band
-    energies) — stdlib wave + numpy rfft, no audio library."""
-
-    def __init__(self, n_bands: int = 4):
-        self.n_bands = n_bands
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = {"media_id": [], "duration_ms": [], "rms": [],
-                "zero_crossings": [], "band_energy": []}
-        for mid, p in zip(batch.column("media_id").to_pylist(),
-                          batch.column("payload").to_pylist()):
-            x, rate = codecs.decode_wav(p)
-            # float64 downmix/accumulation: float32 means drift ~1e-7 across
-            # summation orders, which is visible at the oracle's 6-decimal
-            # rounding; float64 keeps the SQL-recomputed rms bit-stable
-            mono = x.mean(axis=1, dtype=np.float64)
-            spec = np.abs(np.fft.rfft(mono)) ** 2
-            bands = np.array_split(spec, self.n_bands)
-            rows["media_id"].append(mid)
-            rows["duration_ms"].append(int(len(mono) * 1000 / rate))
-            rows["rms"].append(float(np.sqrt(np.mean(mono ** 2))))
-            rows["zero_crossings"].append(
-                int(np.sum(np.signbit(mono[1:]) != np.signbit(mono[:-1]))))
-            rows["band_energy"].append([float(b.sum()) for b in bands])
-        return pa.table({
-            "media_id": pa.array(rows["media_id"], pa.int64()),
-            "duration_ms": pa.array(rows["duration_ms"], pa.int32()),
-            "rms": pa.array(rows["rms"], pa.float64()),
-            "zero_crossings": pa.array(rows["zero_crossings"], pa.int64()),
-            "band_energy": pa.array(rows["band_energy"],
-                                    pa.list_(pa.float64())),
-        })
+def audio_features_batch(batch: pa.Table, n_bands: int = 4) -> pa.Table:
+    """WAV payload → (duration_ms, rms, zero_crossings, ``n_bands``
+    spectral-band energies) — stdlib wave + numpy rfft, no audio library."""
+    rows = {"media_id": [], "duration_ms": [], "rms": [],
+            "zero_crossings": [], "band_energy": []}
+    for mid, p in zip(batch.column("media_id").to_pylist(),
+                      batch.column("payload").to_pylist()):
+        x, rate = codecs.decode_wav(p)
+        # float64 downmix/accumulation: float32 means drift ~1e-7 across
+        # summation orders, which is visible at the oracle's 6-decimal
+        # rounding; float64 keeps the SQL-recomputed rms bit-stable
+        mono = x.mean(axis=1, dtype=np.float64)
+        spec = np.abs(np.fft.rfft(mono)) ** 2
+        rows["media_id"].append(mid)
+        rows["duration_ms"].append(int(len(mono) * 1000 / rate))
+        rows["rms"].append(float(np.sqrt(np.mean(mono ** 2))))
+        rows["zero_crossings"].append(
+            int(np.sum(np.signbit(mono[1:]) != np.signbit(mono[:-1]))))
+        rows["band_energy"].append(
+            [float(b.sum()) for b in np.array_split(spec, n_bands)])
+    return pa.table({
+        "media_id": pa.array(rows["media_id"], pa.int64()),
+        "duration_ms": pa.array(rows["duration_ms"], pa.int32()),
+        "rms": pa.array(rows["rms"], pa.float64()),
+        "zero_crossings": pa.array(rows["zero_crossings"], pa.int64()),
+        "band_energy": pa.array(rows["band_energy"], pa.list_(pa.float64())),
+    })
 
 
-class ImageChannelStats:
+def channel_stats_batch(batch: pa.Table) -> pa.Table:
     """payload → EXACT integer per-channel pixel stats (count/sum/min/max).
 
     Integer outputs make the decode→aggregate path hash-comparable against a
     SQL oracle over persisted exploded pixels (the float feature vectors of
-    ``ImageDecoder`` are summation-order sensitive; these are not)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"media_id": [], "channel": [], "n_pixels": [],
-               "pixel_sum": [], "pixel_min": [], "pixel_max": []}
-        for mid, p in zip(batch.column("media_id").to_pylist(),
-                          batch.column("payload").to_pylist()):
-            img = codecs.decode_image(p)
-            if img.ndim == 2:
-                img = img[:, :, None]
-            flat = img.reshape(-1, img.shape[2]).astype(np.int64)
-            for ci in range(flat.shape[1]):
-                ch = flat[:, ci]
-                out["media_id"].append(mid)
-                out["channel"].append(ci)
-                out["n_pixels"].append(int(ch.size))
-                out["pixel_sum"].append(int(ch.sum()))
-                out["pixel_min"].append(int(ch.min()))
-                out["pixel_max"].append(int(ch.max()))
-        return pa.table({n: pa.array(v, pa.int64()) for n, v in out.items()})
+    ``image_features_batch`` are summation-order sensitive; these are not)."""
+    out = {"media_id": [], "channel": [], "n_pixels": [],
+           "pixel_sum": [], "pixel_min": [], "pixel_max": []}
+    for mid, p in zip(batch.column("media_id").to_pylist(),
+                      batch.column("payload").to_pylist()):
+        img = codecs.decode_image(p)
+        if img.ndim == 2:
+            img = img[:, :, None]
+        flat = img.reshape(-1, img.shape[2]).astype(np.int64)
+        for ci in range(flat.shape[1]):
+            ch = flat[:, ci]
+            out["media_id"].append(mid)
+            out["channel"].append(ci)
+            out["n_pixels"].append(int(ch.size))
+            out["pixel_sum"].append(int(ch.sum()))
+            out["pixel_min"].append(int(ch.min()))
+            out["pixel_max"].append(int(ch.max()))
+    return pa.table({n: pa.array(v, pa.int64()) for n, v in out.items()})
 
 
-def image_channel_stats(media_ds, concurrency: int = 2):
-    return media_ds.map_batches(
-        ImageChannelStats, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
-        concurrency=concurrency, num_cpus=1)
+def frames_batch(batch: pa.Table, num_frames: int = 4,
+                 deterministic_fake: bool = False) -> pa.Table:
+    """video payload → ``num_frames`` evenly spaced frames.  Real path: VID0
+    container of PNG/PPM frames; fake mode slices bytes (plumbing only)."""
+    ids, frames, indices = [], [], []
+    for mid, p in zip(batch.column("media_id").to_pylist(),
+                      batch.column("payload").to_pylist()):
+        if deterministic_fake:
+            step = max(1, len(p) // num_frames)
+            sampled = [p[fi * step:(fi + 1) * step]
+                       for fi in range(num_frames)]
+        else:
+            all_frames = unpack_video(p)
+            idx = np.linspace(0, len(all_frames) - 1,
+                              min(num_frames, len(all_frames))).astype(int)
+            sampled = [all_frames[i] for i in idx]
+        for fi, fr in enumerate(sampled):
+            ids.append(mid)
+            indices.append(fi)
+            frames.append(fr)
+    return pa.table({
+        "media_id": pa.array(ids, pa.int64()),
+        "frame_idx": pa.array(indices, pa.int32()),
+        "frame": pa.array(frames, pa.binary()),
+    })
 
 
-class FrameSampler:
-    """video payload → k evenly spaced frames.  Real path: VID0 container of
-    PNG/PPM frames; fake mode slices bytes (plumbing only)."""
-
-    def __init__(self, num_frames: int = 4, deterministic_fake: bool = False):
-        self.k = num_frames
-        self.fake = deterministic_fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frames, indices = [], [], []
-        for mid, p in zip(batch.column("media_id").to_pylist(),
-                          batch.column("payload").to_pylist()):
-            if self.fake:
-                step = max(1, len(p) // self.k)
-                sampled = [p[fi * step:(fi + 1) * step] for fi in range(self.k)]
-            else:
-                all_frames = unpack_video(p)
-                idx = np.linspace(0, len(all_frames) - 1,
-                                  min(self.k, len(all_frames))).astype(int)
-                sampled = [all_frames[i] for i in idx]
-            for fi, fr in enumerate(sampled):
-                ids.append(mid)
-                indices.append(fi)
-                frames.append(fr)
-        return pa.table({
-            "media_id": pa.array(ids, pa.int64()),
-            "frame_idx": pa.array(indices, pa.int32()),
-            "frame": pa.array(frames, pa.binary()),
-        })
+def _media_map(media_ds, fn, **fn_kwargs):
+    return media_ds.map_batches(fn, fn_kwargs=fn_kwargs, batch_format="pyarrow",
+                                batch_size=MEDIA_BATCH_SIZE)
 
 
-def decode_features(media_ds, deterministic_fake: bool = False,
-                    concurrency: int = 2):
-    return media_ds.map_batches(
-        ImageDecoder,
-        fn_constructor_kwargs={"deterministic_fake": deterministic_fake},
-        batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
-        concurrency=concurrency, num_cpus=1)
+def image_channel_stats(media_ds):
+    return _media_map(media_ds, channel_stats_batch)
 
 
-def audio_features(media_ds, concurrency: int = 2):
-    return media_ds.map_batches(
-        AudioFeatures, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
-        concurrency=concurrency, num_cpus=1)
+def decode_features(media_ds, deterministic_fake: bool = False):
+    return _media_map(media_ds, image_features_batch,
+                      deterministic_fake=deterministic_fake)
 
 
-def sample_frames(media_ds, num_frames: int = 4, concurrency: int = 2,
+def audio_features(media_ds):
+    return _media_map(media_ds, audio_features_batch)
+
+
+def sample_frames(media_ds, num_frames: int = 4,
                   deterministic_fake: bool = False):
-    return media_ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"num_frames": num_frames,
-                               "deterministic_fake": deterministic_fake},
-        batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
-        concurrency=concurrency, num_cpus=1)
+    return _media_map(media_ds, frames_batch, num_frames=num_frames,
+                      deterministic_fake=deterministic_fake)

@@ -64,10 +64,6 @@ def predicate_uri(clean_header: str) -> str:
     return NS + _BRACKETS_RE.sub("", get_human_header(clean_header).replace(" ", ""))
 
 
-def property_uri(clean_header: str) -> str:
-    return NS + capitalize_words(clean_header).replace(" ", "")
-
-
 def triples_from_tables_batch(batch: pa.Table) -> pa.Table:
     """Table-record batch (stages.extract._TABLE_RECORD_SCHEMA) → triples."""
     cols = {name: [] for name in TRIPLE_SCHEMA.names}

@@ -1,1 +1,1 @@
-"""Stateful artifacts: sharded inverted indexes for the linker actor pool."""
+"""Stateful artifacts: sharded inverted indexes for the linker."""

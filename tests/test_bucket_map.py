@@ -259,6 +259,21 @@ def test_map_groups_only_at_one_group_per_output_sites():
     assert offenders == [], f"per-group map_groups in {offenders}"
 
 
+def test_no_actor_pools():
+    """Stages run as task functions: no package source sizes an actor pool
+    (``concurrency=``) or constructs a callable class per worker
+    (``fn_constructor_kwargs``).  A fixed pool holds its CPU slots while
+    the same execution's tasks wait for one; per-worker state goes in a
+    module-level cache such as ``link._WORKER_CORES``."""
+    offenders = [
+        str(p.relative_to(PACKAGE))
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if any(w in p.read_text(encoding="utf-8")
+               for w in ("concurrency=", "fn_constructor_kwargs"))
+    ]
+    assert offenders == [], f"actor pool in {offenders}"
+
+
 def test_link_merge_is_set_at_a_time():
     """The link merge neither pickles rows through the co-partitioned
     exchange nor finalizes one row at a time: ``stages/link.py`` imports

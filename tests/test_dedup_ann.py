@@ -131,6 +131,24 @@ def test_embedding_dedup_exact_blocks_match_full_matrix(ray_session):
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("id_type,want", [(pa.int64(), pa.int64()),
+                                           (pa.string(), object)])
+def test_embedding_dedup_exact_empty_input(ray_session, id_type, want):
+    """An empty input takes the exact path and gives no pairs, typed as
+    (left_id, right_id, cosine) with the input's id type (string ids stay
+    pandas object columns)."""
+    import ray.data as rd
+
+    emb = rd.from_arrow(pa.table({
+        "vec_id": pa.array([], id_type),
+        "embedding": pa.array([], pa.list_(pa.float32()))}))
+    got = D.embedding_dedup_pairs(emb)
+    assert got.count() == 0
+    schema = got.schema()
+    assert schema.names == ["left_id", "right_id", "cosine"]
+    assert schema.types == [want, want, pa.float64()]
+
+
 def test_ann_brute_vs_numpy(ray_session):
     import ray.data as rd
 
@@ -247,11 +265,10 @@ class TestMultimodal:
     def test_decoder_unsupported_format_raises(self):
         import pyarrow as _pa
 
-        dec = M.ImageDecoder(deterministic_fake=False)
         bad = _pa.table({"media_id": _pa.array([0], _pa.int64()),
                          "payload": _pa.array([b"JFIF garbage"], _pa.binary())})
         with pytest.raises(ValueError):
-            dec(bad)
+            M.image_features_batch(bad, deterministic_fake=False)
 
     def test_real_resize_roundtrip(self, ray_session):
         import ray.data as rd
@@ -260,10 +277,9 @@ class TestMultimodal:
 
         media = rd.from_arrow(M.make_fake_media(6, seed=5))
         resized = media.map_batches(
-            M.ImageResizer, fn_constructor_kwargs={"target_w": 10,
-                                                   "target_h": 8},
-            batch_format="pyarrow", batch_size=M.MEDIA_BATCH_SIZE,
-            concurrency=1).to_pandas()
+            M.resize_batch, fn_kwargs={"target_w": 10, "target_h": 8},
+            batch_format="pyarrow",
+            batch_size=M.MEDIA_BATCH_SIZE).to_pandas()
         for p in resized["payload"]:
             img = codecs.decode_image(p)
             assert img.shape == (8, 10, 3)
@@ -294,17 +310,17 @@ class TestMultimodal:
 
         media = rd.from_arrow(M.make_fake_media(8, media_type="video"))
         resized = media.map_batches(
-            M.ImageResizer, fn_constructor_kwargs={"deterministic_fake": True},
-            batch_format="pyarrow", batch_size=M.MEDIA_BATCH_SIZE,
-            concurrency=1).to_pandas()
+            M.resize_batch, fn_kwargs={"deterministic_fake": True},
+            batch_format="pyarrow",
+            batch_size=M.MEDIA_BATCH_SIZE).to_pandas()
         assert (resized["width"] == 32).all()
         assert resized["payload"].map(len).eq(32 * 24).all()
 
         frames = media.map_batches(
-            M.FrameSampler, fn_constructor_kwargs={"deterministic_fake": True,
-                                                   "num_frames": 4},
-            batch_format="pyarrow", batch_size=M.MEDIA_BATCH_SIZE,
-            concurrency=1).to_pandas()
+            M.frames_batch, fn_kwargs={"deterministic_fake": True,
+                                       "num_frames": 4},
+            batch_format="pyarrow",
+            batch_size=M.MEDIA_BATCH_SIZE).to_pandas()
         assert len(frames) == 8 * 4
         assert set(frames["frame_idx"]) == {0, 1, 2, 3}
 
@@ -372,8 +388,7 @@ def test_attach_pair_payloads_join_path_matches_broadcast(ray_session, planted_d
 
     docs, ids = planted_docs
     docs = docs.materialize()
-    blocked = docs.map_batches(D.DocShingler, fn_constructor_kwargs={},
-                               batch_format="pyarrow", concurrency=2)
+    blocked = docs.map_batches(D.shingle_band_rows, batch_format="pyarrow")
     from mannheimsearchjoinsengine_ray.stages.canonicalize import candidate_pairs
 
     pairs = D._distinct_pairs(candidate_pairs(blocked)).materialize()

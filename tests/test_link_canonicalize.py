@@ -109,7 +109,7 @@ def test_search_exact_and_fuzzy(index_dir):
 
 
 def test_linking_top1_accuracy(ray_session, index_dir, tmp_path):
-    """F5: top-1 link accuracy >= 0.95 through the Ray actor pool."""
+    """F5: top-1 link accuracy >= 0.95 through ``link_mentions``."""
     import ray.data as rd
 
     n_pages = 60
@@ -118,7 +118,7 @@ def test_linking_top1_accuracy(ray_session, index_dir, tmp_path):
     pages = rd.read_parquet(corpus, columns=["url", "html"])
     tables = pages.map_batches(E.TableExtractor(DEFAULT_CONFIG), batch_format="pyarrow")
     mentions = tables.map_batches(L.mentions_from_tables_batch, batch_format="pyarrow")
-    cfg = PipelineConfig(linker_concurrency=2)
+    cfg = PipelineConfig()
     edges = L.link_mentions(mentions, index_dir, cfg)
     top1 = L.top1_links(edges).to_pandas()
 
@@ -203,7 +203,7 @@ class TestRefineAttrs:
             "context": pa.array([L.CONTEXT_SEP.join(c)
                                  for c in rows["context"]], pa.string()),
         })
-        cfg = PipelineConfig(linker_concurrency=1)
+        cfg = PipelineConfig()
         top1 = L.top1_links(L.link_mentions(rd.from_arrow(mentions),
                                             amb_index_dir, cfg)).to_pandas()
         got = top1.sort_values("row_idx")["entity_uri"].tolist()
@@ -235,7 +235,7 @@ def test_edge_aggregation(ray_session, index_dir):
         "mention": [P.entity_label(i) for i in range(4)],
     })
     edges = L.link_mentions(rd.from_arrow(mentions), index_dir,
-                            PipelineConfig(linker_concurrency=1))
+                            PipelineConfig())
     top1 = L.top1_links(edges)
     agg = L.aggregate_edges(top1, left_total_mentions=4).to_pandas()
     assert {"entity_group", "count", "rank", "total_rank",
