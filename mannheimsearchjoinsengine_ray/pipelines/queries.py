@@ -280,7 +280,7 @@ def q_orders_without_lineitems(sf_dir: str):
 
 def q_events_last_order(sf_dir: str):
     """As-of join: for each event, the user's most recent order at/before the
-    event timestamp (asof_join operator: bucket + sorted merge_asof).  The
+    event timestamp (asof_join operator: bucket + (key, ts) sort).  The
     right side is pre-deduped to one row per (key, ts) with max orderkey so
     ties resolve identically to the SQL oracle."""
     from ..stages.aggregates import two_phase_agg
@@ -292,10 +292,7 @@ def q_events_last_order(sf_dir: str):
         ["o_custkey", "o_orderdate"], {"o_orderkey": ("o_orderkey", "max")})
     out = asof_join(events, orders, left_on="user_id", right_on="o_custkey",
                     left_ts="ts", right_ts="o_orderdate", bucket_count=None)
-    df = out.to_pandas()[["event_id", "user_id", "o_orderkey"]]
-    # bucket-join column filling leaves pass-through columns object-typed
-    return df.astype({"event_id": "int64", "user_id": "int64",
-                      "o_orderkey": "int64"})
+    return out.to_pandas()[["event_id", "user_id", "o_orderkey"]]
 
 
 def q_events_hourly_window(sf_dir: str):

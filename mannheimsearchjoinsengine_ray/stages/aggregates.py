@@ -99,6 +99,13 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
       sample a mix of pandas and Arrow blocks — and the sort-based
       ``groupby().map_groups`` hands each bucket to ``fn``.
 
+    In ``"pyarrow"`` format ``fn`` sees the union's block types unified
+    on both paths (a column all-null in one block types ``null`` there, an
+    int column holding a null converts from pandas as double): the driver
+    path concatenates permissively, and the exchange casts every block to
+    the unified schema before hashing, so one key hashes alike in every
+    block and every bucket gets the same types.
+
     Rows reach ``fn`` in the order of their blocks on either path (a stable
     sort keeps it inside a bucket)."""
     sides = ds if isinstance(ds, (list, tuple)) else [ds]
@@ -112,8 +119,11 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
     keys = [key] if isinstance(key, str) else list(key)
     modulus = np.uint64(num_buckets)
     arrow = batch_format == "pyarrow"
+    schema = _unified_schema(data) if arrow else None
 
     def add_bucket(batch):
+        if arrow and batch.num_rows and batch.schema != schema:
+            batch = batch.select(schema.names).cast(schema)
         texts = [_key_text(batch.column(k) if arrow else batch[k])
                  for k in keys]
         if arrow:
@@ -141,6 +151,23 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
                               batch_size=None)
     return tagged.groupby("__bucket").map_groups(run,
                                                  batch_format=batch_format)
+
+
+def _unified_schema(data) -> pa.Schema | None:
+    """The permissive unification of a MATERIALIZED Dataset's non-empty
+    block schemas, read where each block lives (Ray's own schema is its
+    first block's); None when every block is empty."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    read = ray.remote(lambda block: BlockAccessor.for_block(block)
+                      .to_arrow().schema)
+    refs = [ref for bundle in data.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    if not refs:
+        return None
+    return pa.unify_schemas(ray.get([read.remote(r) for r in refs]),
+                            promote_options="permissive")
 
 
 def _driver_map(data, num_buckets: int, fn, batch_format: str):

@@ -208,8 +208,9 @@ def shingle_band_rows(batch: pa.Table, num_perm: int = 128,
 
 
 def _distinct_pairs(pairs_ds):
-    """Distinct (left_id, right_id) BEFORE the payload join — a pair found
-    via several bands would otherwise multiply the join and verify work."""
+    """Distinct (left_id, right_id) BEFORE the payload join or verify — a
+    pair found via several bands would otherwise multiply that work and
+    reach the caller once per band."""
     from .aggregates import dedupe_by_key
 
     def add_key(df: pd.DataFrame) -> pd.DataFrame:
@@ -417,9 +418,9 @@ def simhash_dedup_pairs(docs_ds, max_hamming: int = 3,
     """SimHash banding: 4 chunks of 16 bits — two docs within Hamming ≤ 3 of
     each other share at least one exact chunk (pigeonhole) → groupby(chunk)
     candidates → Hamming verify."""
-    pairs = candidate_pairs(docs_ds.map_batches(
+    pairs = _distinct_pairs(candidate_pairs(docs_ds.map_batches(
         simhash_band_rows, fn_kwargs={"id_col": id_col, "text_col": text_col},
-        batch_format="pyarrow"))
+        batch_format="pyarrow")))
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -536,7 +537,7 @@ def embedding_dedup_pairs(emb_ds, min_cosine: float = 0.95, dim: int = 64,
         hyperplane_band_rows,
         fn_kwargs={"dim": dim, "id_col": id_col, "vec_col": vec_col},
         batch_format="pyarrow")
-    pairs = candidate_pairs(blocked, max_block=200)
+    pairs = _distinct_pairs(candidate_pairs(blocked, max_block=200))
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:

@@ -188,11 +188,13 @@ def test_small_exchange_runs_no_sort(ray_session, sf_dir, monkeypatch, query):
     assert sum(_sort_operators(run)) == 1
 
 
-@pytest.mark.parametrize("impl", ["arrow", "pandas"])
-def test_joins_nullable_int_key(ray_session, impl, monkeypatch):
+@pytest.mark.parametrize("fmt", ["arrow", "pandas"])
+def test_joins_nullable_int_key(ray_session, fmt):
     """Inner, semi and anti joins on an int key whose nulls sit in one of
-    the left side's blocks match pandas on both join interiors: the key 5
-    must hash the same in the block holding nulls as in the others."""
+    the left side's blocks match pandas, whether the blocks are Arrow (one
+    int64 type) or pandas as Ray hands them out (float64 where the block
+    holds a null, int64 elsewhere): the key 5 must hash the same in the
+    block holding nulls as in the others."""
     import ray.data as rd
 
     from mannheimsearchjoinsengine_ray.stages import joins
@@ -202,11 +204,17 @@ def test_joins_nullable_int_key(ray_session, impl, monkeypatch):
                      for i in range(n)], dtype="Int64")
     left = pd.DataFrame({"k": keys, "v": np.arange(n)})
     right = pd.DataFrame({"rk": np.arange(0, 40, 2), "w": np.arange(20)})
-    monkeypatch.setenv("GRAFT_JOIN_IMPL", impl)
 
     def sides():
-        return (rd.from_arrow(_arrow(left)).repartition(3),
-                rd.from_arrow(_arrow(right)).repartition(2))
+        if fmt == "arrow":
+            return (rd.from_arrow(_arrow(left)).repartition(3),
+                    rd.from_arrow(_arrow(right)).repartition(2))
+        thirds = [left.iloc[i * n // 3:(i + 1) * n // 3] for i in range(3)]
+        blocks = [b.astype({"k": "float64" if b["k"].isna().any()
+                            else "int64"}).reset_index(drop=True)
+                  for b in thirds]
+        return rd.from_pandas(blocks), rd.from_pandas([right[:10],
+                                                       right[10:]])
 
     matched = left["k"].isin(right["rk"]).fillna(False).astype(bool)
     want = {"inner": left[matched].merge(right, left_on="k", right_on="rk")
@@ -217,12 +225,16 @@ def test_joins_nullable_int_key(ray_session, impl, monkeypatch):
            "anti": joins.bucket_anti_join(*sides(), "k", "rk", bucket_count=8)}
     for name, ds in got.items():
         out = ds.to_pandas()
-        assert joins.last_interior == impl
         cols = list(want[name].columns)
         pd.testing.assert_frame_equal(
             out[cols].sort_values("v").reset_index(drop=True),
             want[name].sort_values("v").reset_index(drop=True),
-            check_dtype=False, obj=f"{impl} {name}")
+            check_dtype=False, obj=f"{fmt} {name}")
+
+
+@pytest.mark.parametrize("fmt", ["arrow", "pandas"])
+def test_joins_nullable_int_key_exchange(ray_session, exchange_path, fmt):
+    test_joins_nullable_int_key(ray_session, fmt)
 
 
 def test_bucket_column_only_in_aggregates():
@@ -272,6 +284,21 @@ def test_no_actor_pools():
                for w in ("concurrency=", "fn_constructor_kwargs"))
     ]
     assert offenders == [], f"actor pool in {offenders}"
+
+
+def test_one_join_interior():
+    """Joins have one interior, Arrow: no package source reads a join
+    interior switch (``GRAFT_JOIN_IMPL``), and ``stages/joins.py`` neither
+    tags a side in pandas nor merges with pandas."""
+    offenders = [
+        str(p.relative_to(PACKAGE))
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if "GRAFT_JOIN_IMPL" in p.read_text(encoding="utf-8")
+    ]
+    assert offenders == [], f"join interior switch in {offenders}"
+    src = (PACKAGE / "stages" / "joins.py").read_text(encoding="utf-8")
+    for word in ('batch_format="pandas"', ".merge(", "merge_asof"):
+        assert word not in src, word
 
 
 def test_link_merge_is_set_at_a_time():

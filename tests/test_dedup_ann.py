@@ -98,6 +98,35 @@ def test_embedding_dedup(ray_session):
     assert (10, 50) in found
 
 
+def test_simhash_dedup_pairs_distinct(ray_session):
+    """Two identical docs share all four SimHash chunks, so they meet in
+    four bands; the pair comes back once."""
+    import ray.data as rd
+
+    docs = rd.from_arrow(pa.table({
+        "doc_id": [0, 1, 2],
+        "text": ["the quick brown fox jumps over the lazy dog"] * 2
+        + ["an entirely different sentence about something else"]}))
+    pairs = D.simhash_dedup_pairs(docs).to_pandas()
+    assert sorted(zip(pairs["left_id"], pairs["right_id"])) == [(0, 1)]
+
+
+def test_embedding_dedup_lsh_pairs_distinct(ray_session):
+    """The LSH path returns a duplicate vector pair once, like the exact
+    path, though the pair shares every hyperplane band."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    vecs = rng.standard_normal((6, 16)).astype(np.float32)
+    vecs[5] = vecs[0]
+    ds = rd.from_arrow(pa.table({"vec_id": list(range(6)),
+                                 "embedding": [v.tolist() for v in vecs]}))
+    exact = D.embedding_dedup_pairs(ds, dim=16).to_pandas()
+    lsh = D.embedding_dedup_pairs(ds, dim=16, exact_threshold=0).to_pandas()
+    assert sorted(zip(exact["left_id"], exact["right_id"])) == [(0, 5)]
+    assert sorted(zip(lsh["left_id"], lsh["right_id"])) == [(0, 5)]
+
+
 def test_embedding_dedup_exact_blocks_match_full_matrix(ray_session):
     """The exact path's row blocks give the pairs of the full n×n upper
     triangle, in its order, for n over one block (near-duplicates planted

@@ -105,7 +105,7 @@ def test_seed_dma_and_attribute_filter(ray_session, tables_ds):
     assert set(seeds["vt_id"]) == {"u1#0#1", "u2#0#1", "u3#0#1"}
     # DMA = overlap / min(|keys|, rows) = 2/2 for the population tables
     two_key = seeds[seeds["vt_id"] != "u3#0#1"]
-    # dma is real float64 now (join dtype restore) — compare numerically;
+    # dma is real float64 (Arrow join interior) — compare numerically;
     # the old `== pytest.approx` only "passed" on the object-typed column
     assert np.allclose(two_key["dma"].astype(float), 1.0)
     # the height table never matches the attribute

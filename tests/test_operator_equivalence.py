@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from mannheimsearchjoinsengine_ray.stages.aggregates import dedupe_by_key, two_phase_agg
@@ -23,6 +24,8 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
             df[c] = df[c].round(9)
         if pd.api.types.is_datetime64_any_dtype(df[c]):
             df[c] = df[c].astype("datetime64[ns]")
+        if df[c].dtype == object:  # pandas pads NaN, Arrow None
+            df[c] = df[c].where(df[c].notna(), None)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
@@ -240,7 +243,7 @@ def test_bucket_semi_join_matches_pandas(ray_session, rng):
     want = left[left["k"].isin(set(right["rk"]))]
     a = got.sort_values(["k", "payload"]).reset_index(drop=True)
     b = want.sort_values(["k", "payload"]).reset_index(drop=True)
-    # dtype restore keeps int64 through the None-padded exchange
+    # Arrow types keep int64 through the null-padded exchange
     pd.testing.assert_frame_equal(a, b)
     assert a["k"].dtype == np.int64 and a["payload"].dtype == np.int64
 
@@ -266,12 +269,12 @@ def test_bucket_join_auto_plan_salts_on_skew(ray_session, rng):
     a = got[["k", "payload", "dim"]].sort_values(["k", "payload"]) \
         .reset_index(drop=True)
     b = want.sort_values(["k", "payload"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)  # dtypes restored -> exact compare
+    pd.testing.assert_frame_equal(a, b)  # Arrow dtypes -> exact compare
 
 
 def test_bucket_join_dtype_restore(ray_session, rng):
-    """int64/float64/timestamp columns survive the None-padded exchange with
-    their dtypes intact (no .astype masking in the assert)."""
+    """int64/float64/timestamp columns survive the null-padded exchange
+    with their dtypes intact (no .astype masking in the assert)."""
     import ray.data as rd
 
     from mannheimsearchjoinsengine_ray.stages.joins import bucket_join
@@ -296,19 +299,23 @@ def test_bucket_join_dtype_restore(ray_session, rng):
     assert int(got["li"].sum()) == int(want["li"].sum())
 
 
-def test_join_interiors_equivalent(ray_session, rng, monkeypatch):
-    """The Arrow interior (default) and the pandas interior
-    (GRAFT_JOIN_IMPL=pandas) must produce identical frames AND dtypes for
-    inner/left/right/outer joins and for semi/anti — the env switch exists
-    for A/B and as the non-Arrow-schema fallback, so divergence here would
-    make the fallback silently change answers.  Inputs are ARROW-backed
-    (from_arrow): from_pandas datasets have no Arrow-resolvable schema and
-    always fall back to pandas, which would make this test vacuous — each
-    leg asserts via joins.last_interior that it really took its path."""
-    import pyarrow as pa
+def _blocks(df: pd.DataFrame, fmt: str, n: int):
+    """``df`` as a Dataset of ``n`` blocks, Arrow or pandas."""
     import ray.data as rd
 
-    from mannheimsearchjoinsengine_ray.stages import joins
+    parts = [df.iloc[i * len(df) // n:(i + 1) * len(df) // n]
+             .reset_index(drop=True) for i in range(n)]
+    if fmt == "pandas":
+        return rd.from_pandas(parts)
+    return rd.from_arrow([pa.Table.from_pandas(p, preserve_index=False)
+                          for p in parts])
+
+
+def test_join_interiors_equivalent(ray_session, rng):
+    """The Arrow interior matches plain pandas — ``pd.merge`` for
+    inner/left/right/outer joins, ``isin`` for semi/anti — in values AND
+    dtypes, whether the sides arrive in Arrow blocks or in pandas blocks
+    (which the tag maps convert to Arrow)."""
     from mannheimsearchjoinsengine_ray.stages.joins import (
         bucket_anti_join,
         bucket_join,
@@ -321,42 +328,164 @@ def test_join_interiors_equivalent(ray_session, rng, monkeypatch):
         "ls": rng.integers(0, 10, 600).astype(str),
         "lt": pd.to_datetime("2024-01-01")
               + pd.to_timedelta(rng.integers(0, 10**6, 600), unit="s"),
+        "ln": [None] * 600,  # no row types it: Arrow type null
     })
     right = pd.DataFrame({
         "rk": rng.integers(0, 55, 120),
         "rf": rng.random(120),
     })
+    renamed = right.rename(columns={"rk": "k"})
+    want = {how: left.merge(renamed, on="k", how=how)
+            for how in ("inner", "left", "right", "outer")}
+    matched = left["k"].isin(right["rk"])
+    want["semi"], want["anti"] = left[matched], left[~matched]
 
-    def run_all(expect_interior):
-        l = rd.from_arrow(pa.Table.from_pandas(left)).repartition(5)
-        r = rd.from_arrow(pa.Table.from_pandas(right)).repartition(3)
-        out = {}
-        for how in ("inner", "left", "right", "outer"):
-            res = bucket_join(l, r, "k", "rk", how=how, bucket_count=8)
-            assert joins.last_interior == expect_interior
-            out[how] = res.to_pandas()
-        out["semi"] = bucket_semi_join(l, r, left_on="k", right_on="rk",
-                                       bucket_count=8).to_pandas()
-        assert joins.last_interior == expect_interior
-        out["anti"] = bucket_anti_join(l, r, left_on="k", right_on="rk",
-                                       bucket_count=8).to_pandas()
-        assert joins.last_interior == expect_interior
-        return out
+    for fmt in ("arrow", "pandas"):
+        l, r = _blocks(left, fmt, 5), _blocks(right, fmt, 3)
+        got = {how: bucket_join(l, r, "k", "rk", how=how, bucket_count=8)
+               for how in ("inner", "left", "right", "outer")}
+        got["semi"] = bucket_semi_join(l, r, left_on="k", right_on="rk",
+                                       bucket_count=8)
+        got["anti"] = bucket_anti_join(l, r, left_on="k", right_on="rk",
+                                       bucket_count=8)
+        for name, ds in got.items():
+            pd.testing.assert_frame_equal(
+                _norm(ds.to_pandas()), _norm(want[name]),
+                obj=f"{fmt} {name}")
 
-    monkeypatch.setenv("GRAFT_JOIN_IMPL", "arrow")
-    arrow = run_all("arrow")
-    monkeypatch.setenv("GRAFT_JOIN_IMPL", "pandas")
-    pandas_ = run_all("pandas")
 
-    for name in arrow:
-        a, b = _norm(arrow[name]), _norm(pandas_[name])
-        pd.testing.assert_frame_equal(a, b, check_dtype=False,
-                                      obj=f"{name} interior mismatch")
-        # dtype parity where no nulls force a representation choice
-        for c in a.columns:
-            if not a[c].isna().any() and not b[c].isna().any():
-                assert a[c].dtype == b[c].dtype, (name, c, a[c].dtype,
-                                                  b[c].dtype)
+def test_bucket_join_salted_null_keys(ray_session, rng):
+    """The salted plan follows SQL: a NULL key on either side never
+    matches, on an auto plan that really salts (a hot key plus NULL keys
+    on both sides), for inner and left joins."""
+    import ray.data as rd
+
+    from mannheimsearchjoinsengine_ray.stages import joins
+
+    n = 20_000
+    keys = pd.array(np.where(rng.random(n) < 0.5, 7,
+                             rng.integers(0, 300, n)), dtype="Int64")
+    keys[rng.random(n) < 0.1] = pd.NA
+    left = pd.DataFrame({"k": keys, "payload": np.arange(n)})
+    right = pd.DataFrame({
+        "rk": pd.array(list(range(300)) + [None] * 5, dtype="Int64"),
+        "dim": np.arange(305)})
+    want = {how: left.merge(right.dropna(subset=["rk"]), left_on="k",
+                            right_on="rk", how=how)
+            for how in ("inner", "left")}
+    for how, ref in want.items():
+        got = joins.bucket_join(
+            rd.from_arrow(pa.Table.from_pandas(left)).repartition(4),
+            rd.from_arrow(pa.Table.from_pandas(right)).repartition(2),
+            left_on="k", right_on="rk", how=how,
+            skew_threshold=1000).to_pandas()
+        assert joins.last_auto_plan["salt"] > 1
+        assert 7 in joins.last_auto_plan["hot_keys"]
+        cols = ["payload", "k", "dim"]
+        a = got[cols].sort_values("payload").reset_index(drop=True)
+        b = ref[cols].sort_values("payload").reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b, check_dtype=False, obj=how)
+        assert len(got) == (len(left) if how == "left"
+                            else int(left["k"].notna().sum()))
+
+
+def test_bucket_join_timestamp_key_units(ray_session, exchange_path):
+    """A timestamp key read in microseconds on one side and held in
+    nanoseconds (pandas blocks) on the other joins on its instant: every
+    block is cast to the unified type before hashing, so the key lands in
+    one bucket from both sides."""
+    import ray.data as rd
+
+    from mannheimsearchjoinsengine_ray.stages.joins import bucket_join
+
+    keys = pd.Timestamp("2024-01-01") + pd.to_timedelta(np.arange(50),
+                                                        unit="h")
+    left = pa.table({"k": pa.array(keys.to_numpy().astype("datetime64[us]")),
+                     "a": np.arange(50)})
+    right = pd.DataFrame({"rk": keys[::2], "b": np.arange(25)})
+    got = bucket_join(rd.from_arrow(left).repartition(3),
+                      rd.from_pandas([right[:12], right[12:]]),
+                      "k", "rk", bucket_count=8).to_pandas()
+    assert sorted(zip(got["a"], got["b"])) == [(2 * i, i) for i in range(25)]
+
+
+def _asof_case(name: str):
+    """→ (left, right, inner) for one as-of edge case; keys ``k``/``rk``,
+    timestamps ``ts``/``rts``, right unique per (key, ts)."""
+    base = pd.Timestamp("2024-01-01")
+    sec = lambda v: base + pd.to_timedelta(v, unit="s")
+    if name == "right_side_missing_keys":
+        # keys 5..9 have no right rows: their buckets hold left rows only
+        left = pd.DataFrame({"k": np.arange(40) % 10,
+                             "ts": sec(np.arange(40) * 10), "x": np.arange(40)})
+        right = pd.DataFrame({"rk": np.arange(10) % 5,
+                              "rts": sec(np.arange(10) * 25),
+                              "y": np.arange(10)})
+        return left, right, True
+    if name == "left_outer":
+        left = pd.DataFrame({"k": [1, 1, 2, 3, 3], "ts": sec([5, 50, 5, 1, 9]),
+                             "x": np.arange(5)})
+        right = pd.DataFrame({"rk": [1, 3, 3, 4], "rts": sec([10, 2, 9, 1]),
+                              "y": np.arange(4)})
+        return left, right, False
+    if name == "tie":
+        # backward is inclusive: right ts == left ts matches
+        left = pd.DataFrame({"k": [1, 1, 2], "ts": sec([10, 20, 7]),
+                             "x": np.arange(3)})
+        right = pd.DataFrame({"rk": [1, 1, 2], "rts": sec([10, 15, 7]),
+                              "y": np.arange(3)})
+        return left, right, True
+    if name == "across_epoch":
+        # negative ticks before 1970, positive after
+        at = lambda v: pd.Timestamp("1969-12-31 23:59:55") \
+            + pd.to_timedelta(v, unit="s")
+        left = pd.DataFrame({"k": [1, 1, 1, 2], "ts": at([0, 3, 8, 9]),
+                             "x": np.arange(4)})
+        right = pd.DataFrame({"rk": [1, 1, 2], "rts": at([1, 7, 2]),
+                              "y": np.arange(3)})
+        return left, right, True
+    if name == "float_key":
+        # an int key holding a null, as a pandas block carries it: float64;
+        # the null right key sits after every left ts, so pandas, which
+        # matches NaN with NaN, cannot pair it either
+        left = pd.DataFrame({"k": [1.0, np.nan, 2.0, 1.0],
+                             "ts": sec([5, 6, 7, 8]), "x": np.arange(4)})
+        right = pd.DataFrame({"rk": [1.0, 2.0, np.nan], "rts": sec([4, 8, 99]),
+                              "y": np.arange(3)})
+        return left, right, False
+    assert name == "us_vs_ns"
+    # left in microseconds, right in nanoseconds off the microsecond grid
+    ns = lambda v: pd.to_datetime(np.asarray(v, dtype="int64"), unit="ns")
+    left = pd.DataFrame({"k": [1, 1, 1, 2],
+                         "ts": ns([5000, 6000, 7000, 5000])
+                         .astype("datetime64[us]"),
+                         "x": np.arange(4)})
+    right = pd.DataFrame({"rk": [1, 1, 2], "rts": ns([5500, 6000, 4999]),
+                          "y": np.arange(3)})
+    return left, right, True
+
+
+@pytest.mark.parametrize("case", ["right_side_missing_keys", "left_outer",
+                                  "tie", "across_epoch", "float_key",
+                                  "us_vs_ns"])
+def test_asof_join_edge_cases(ray_session, case):
+    """``asof_join`` against ``pd.merge_asof(direction="backward")`` on
+    both sides' timestamps in nanoseconds."""
+    import ray.data as rd
+
+    left, right, inner = _asof_case(case)
+    got = asof_join(rd.from_pandas(left).repartition(2),
+                    rd.from_pandas(right).repartition(2),
+                    "k", "rk", "ts", "rts", bucket_count=4,
+                    inner=inner).to_pandas()
+    want = pd.merge_asof(
+        left.astype({"ts": "datetime64[ns]"}).sort_values("ts"),
+        right.rename(columns={"rk": "k"}).sort_values("rts"),
+        left_on="ts", right_on="rts", by="k", direction="backward")
+    if inner:
+        want = want[want["rts"].notna()]
+    assert len(got) == len(want)
+    pd.testing.assert_frame_equal(_norm(got), _norm(want), check_dtype=False)
 
 
 # the join equivalence tests again, with every exchange running its sort
@@ -368,6 +497,11 @@ def test_bucket_join_matches_pandas_exchange(ray_session, exchange_path, rng):
 
 def test_asof_join_matches_pandas_exchange(ray_session, exchange_path, rng):
     test_asof_join_matches_pandas(ray_session, rng)
+
+
+@pytest.mark.parametrize("case", ["right_side_missing_keys", "left_outer"])
+def test_asof_join_edge_cases_exchange(ray_session, exchange_path, case):
+    test_asof_join_edge_cases(ray_session, case)
 
 
 def test_bucket_semi_join_matches_pandas_exchange(ray_session, exchange_path,
