@@ -9,9 +9,14 @@
       └─ materialize: hash(subj) partitions, sorted, manifests
 
 In ``run_full`` the triplify, the link merge and the label side-output are
-one shard pass: a single map over the extracted tables that writes the
-triple runs, the rank-0 edges and the label pairs, after the distinct
-mentions are resolved and broadcast.
+one shard pass over the extracted tables that writes the triple runs, the
+rank-0 edges and the label pairs, after the distinct mentions are resolved
+and broadcast.  The extract is a shard's one Ray Data execution: every
+pass after it reads blocks or files that already exist and runs through
+``stages/aggregates.run_blocks`` — one Ray task per CPU slot, or
+in-process on the driver at one slot, where a task would buy nothing but
+its launch (~75 ms per Ray Data execution, ~15 ms for the tasks, ~1 ms
+in-process over 4 blocks at one CPU).
 
 Resume model (north rule): the INPUT is split into shards (groups of parquet
 fragments / page-id ranges); each shard runs the full flow and commits its
@@ -33,6 +38,7 @@ _log = logging.getLogger(__name__)
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..stages import materialize as mat
+from ..stages.aggregates import block_refs, record_passes, run_blocks
 from ..stages.extract import TableExtractor, extract_text_batch
 from ..stages.triples import triples_from_tables_batch
 
@@ -102,7 +108,7 @@ def materialize_triples(triples, out_dir: str,
       stage B (:func:`_merge_runs`): each non-empty partition merges its
       runs and commits via :func:`materialize.write_partition` (sort +
       atomic rename + manifest); the partitions are dealt over at most one
-      task per CPU slot.
+      task per CPU slot by ``aggregates.run_blocks`` (in-process at one).
 
     Run files are Arrow IPC, uncompressed by default — they live only
     between the two stages, and parquet encode/decode was the dominant cost
@@ -223,15 +229,80 @@ def _run_splitter(runs_dir: str, num_partitions: int, run_compression: str,
     return split_write
 
 
+def _read_part_batch(path: str, p: int, fs=None) -> pa.Table | None:
+    """Partition ``p``'s record batch of one stage-A run file (None when
+    the run holds no rows of ``p``)."""
+    import json as _json
+
+    from ..state import fsio
+
+    with fsio.open_input(fs, path) as src:
+        rdr = pa.ipc.open_file(src)
+        i = _json.loads(rdr.schema.metadata[b"parts"]).get(str(p))
+        if i is None:
+            return None
+        return pa.Table.from_batches([rdr.get_batch(i)])
+
+
+def _ge_key(tbl: pa.Table, key: tuple) -> pa.Array:
+    """(subj, pred, obj) >= key, lexicographic."""
+    import pyarrow.compute as pc
+
+    s, p_, o = tbl.column("subj"), tbl.column("pred"), tbl.column("obj")
+    ks, kp, ko = key
+    return pc.or_(
+        pc.greater(s, ks),
+        pc.and_(pc.equal(s, ks),
+                pc.or_(pc.greater(p_, kp),
+                       pc.and_(pc.equal(p_, kp),
+                               pc.greater_equal(o, ko)))))
+
+
+def _merge_unit(rec: dict, out_dir: str, fingerprint: str, fs=None) -> dict:
+    """One stage-B work row: ``sub == -1`` merges a whole partition's runs
+    and commits it (``materialize.write_partition``); ``sub >= 0`` writes
+    one sorted (subj, pred, obj) key range ``[lo, hi)`` of a heavy
+    partition into its staging dir, for the driver to commit.  Returns
+    the row's commit record."""
+    import pyarrow.compute as pc
+
+    from ..state import fsio
+
+    p, sub = int(rec["p"]), int(rec["sub"])
+    table = pa.concat_tables([t for t in (_read_part_batch(f, p, fs)
+                                          for f in rec["runs"])
+                              if t is not None])
+    if sub < 0:
+        manifest = mat.write_partition(table, out_dir, p, fingerprint, fs=fs)
+        return {"partition": p, "sub": -1, "rows": manifest["rows"],
+                "distinct": manifest["distinct_subjects"],
+                "min_subj": None, "max_subj": None}
+    mask = None
+    if rec["lo"] is not None:
+        mask = _ge_key(table, tuple(rec["lo"]))
+    if rec["hi"] is not None:
+        lt_hi = pc.invert(_ge_key(table, tuple(rec["hi"])))
+        mask = lt_hi if mask is None else pc.and_(mask, lt_hi)
+    if mask is not None:
+        table = table.filter(mask)
+    n = table.num_rows
+    if n:
+        table = mat.sort_triples(table)
+        fsio.write_parquet(
+            fs, table, os.path.join(out_dir, f"part={p:05d}.tmp",
+                                    f"data-{sub:05d}.parquet"))
+    subj_col = table.column("subj")
+    return {"partition": p, "sub": sub, "rows": n,
+            "distinct": int(pc.count_distinct(subj_col).as_py()) if n else 0,
+            "min_subj": subj_col[0].as_py() if n else None,
+            "max_subj": subj_col[n - 1].as_py() if n else None}
+
+
 def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
                 fingerprint: str, split_rows: int | None,
                 fs=None) -> list[dict]:
     """Stage B of :func:`materialize_triples`: merge the reported runs of
     each partition, commit the partitions and remove ``runs_dir``."""
-    import json as _json
-
-    import ray.data as rd
-
     from ..state import fsio
 
     # the COMMIT record is the task RESULT, not the filesystem: a task
@@ -257,28 +328,6 @@ def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
     if split_rows is None:
         split_rows = int(os.environ.get("GRAFT_PART_SPLIT_ROWS", 4_000_000))
 
-    def _read_part_batch(path: str, p: int) -> pa.Table | None:
-        with fsio.open_input(fs, path) as src:
-            rdr = pa.ipc.open_file(src)
-            bm = _json.loads(rdr.schema.metadata[b"parts"])
-            i = bm.get(str(p))
-            if i is None:
-                return None
-            return pa.Table.from_batches([rdr.get_batch(i)])
-
-    def _ge_key(tbl: pa.Table, key: tuple) -> pa.Array:
-        # (subj, pred, obj) >= key, lexicographic
-        import pyarrow.compute as pc
-
-        s, p_, o = tbl.column("subj"), tbl.column("pred"), tbl.column("obj")
-        ks, kp, ko = key
-        return pc.or_(
-            pc.greater(s, ks),
-            pc.and_(pc.equal(s, ks),
-                    pc.or_(pc.greater(p_, kp),
-                           pc.and_(pc.equal(p_, kp),
-                                   pc.greater_equal(o, ko)))))
-
     # --- plan range boundaries for skewed partitions ---
     heavy = {p: part_rows[p] for p in live_parts if part_rows[p] > split_rows}
     boundaries: dict[int, list[tuple]] = {}
@@ -293,7 +342,7 @@ def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
 
             out = []
             for f in files:
-                t = _read_part_batch(f, p)
+                t = _read_part_batch(f, p, fs)
                 if t is None or t.num_rows == 0:
                     continue
                 k = min(n_per_run, t.num_rows)
@@ -340,95 +389,33 @@ def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
             work_rows.append({"p": p, "sub": -1, "runs": part_runs[p],
                               "lo": None, "hi": None})
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        recs = batch.to_pylist()
-        out = {"partition": [], "sub": [], "rows": [], "distinct": [],
-               "min_subj": [], "max_subj": []}
-        for rec in recs:
-            p, sub = int(rec["p"]), int(rec["sub"])
-            chunks = []
-            for f in rec["runs"]:
-                t = _read_part_batch(f, p)
-                if t is not None:
-                    chunks.append(t)
-            table = pa.concat_tables(chunks)
-            if sub < 0:
-                manifest = mat.write_partition(table, out_dir, p, fingerprint,
-                                               fs=fs)
-                out["partition"].append(p); out["sub"].append(-1)
-                out["rows"].append(manifest["rows"])
-                out["distinct"].append(manifest["distinct_subjects"])
-                out["min_subj"].append(None); out["max_subj"].append(None)
-                continue
-            mask = None
-            if rec["lo"] is not None:
-                mask = _ge_key(table, tuple(rec["lo"]))
-            if rec["hi"] is not None:
-                lt_hi = pc.invert(_ge_key(table, tuple(rec["hi"])))
-                mask = lt_hi if mask is None else pc.and_(mask, lt_hi)
-            if mask is not None:
-                table = table.filter(mask)
-            n = table.num_rows
-            if n:
-                table = mat.sort_triples(table)
-                tmp_dir = os.path.join(out_dir, f"part={p:05d}.tmp")
-                fsio.write_parquet(
-                    fs, table,
-                    os.path.join(tmp_dir, f"data-{sub:05d}.parquet"))
-            subj_col = table.column("subj")
-            out["partition"].append(p); out["sub"].append(sub)
-            out["rows"].append(n)
-            out["distinct"].append(
-                int(pc.count_distinct(subj_col).as_py()) if n else 0)
-            out["min_subj"].append(subj_col[0].as_py() if n else None)
-            out["max_subj"].append(subj_col[n - 1].as_py() if n else None)
-        return pa.table({"partition": pa.array(out["partition"], pa.int64()),
-                         "sub": pa.array(out["sub"], pa.int64()),
-                         "rows": pa.array(out["rows"], pa.int64()),
-                         "distinct": pa.array(out["distinct"], pa.int64()),
-                         "min_subj": pa.array(out["min_subj"], pa.string()),
-                         "max_subj": pa.array(out["max_subj"], pa.string())})
-
+    # at most one merge task per CPU slot (in-process at one): run_blocks
+    # deals the work rows round-robin, so a heavy partition's consecutive
+    # sub-ranges land in different tasks
+    results = run_blocks(_merge_unit, work_rows,
+                         dict(out_dir=out_dir, fingerprint=fingerprint, fs=fs))
     stats: list[dict] = []
-    if work_rows:
-        import pandas as _pd
-        import ray as _ray
-
-        # at most one merge task per CPU slot, built straight as blocks (no
-        # repartition exchange): work rows are dealt round-robin, so a heavy
-        # partition's consecutive sub-ranges land in different tasks, and
-        # finalize loops over the rows of its block
-        n_tasks = max(1, min(len(work_rows),
-                             int(_ray.cluster_resources().get("CPU", 1))))
-        parts_ds = rd.from_pandas([_pd.DataFrame(work_rows[i::n_tasks])
-                                   for i in range(n_tasks)])
-        results = parts_ds.map_batches(finalize, batch_format="pyarrow",
-                                       batch_size=None).take_all()
-        sub_acc: dict[int, list[dict]] = {}
-        for r in results:
-            if r["sub"] < 0:
-                stats.append({"partition": int(r["partition"]),
-                              "rows": int(r["rows"])})
-            else:
-                sub_acc.setdefault(int(r["partition"]), []).append(r)
-        for p, subs in sub_acc.items():
-            subs.sort(key=lambda r: r["sub"])
-            subs = [s for s in subs if s["rows"]]
-            rows = int(sum(s["rows"] for s in subs))
-            # sub-files are contiguous key ranges: a subject spanning k
-            # adjacent files is counted k times in the per-file distincts
-            # and k-1 times in the boundary-equality correction
-            distinct = int(sum(s["distinct"] for s in subs)) - sum(
-                1 for a, b in zip(subs, subs[1:])
-                if a["max_subj"] == b["min_subj"])
-            manifest = mat.commit_partition_dir(
-                out_dir, p, rows, distinct, fingerprint, files=len(subs),
-                fs=fs)
-            stats.append({"partition": manifest["partition"],
-                          "rows": manifest["rows"]})
-        stats.sort(key=lambda m: m["partition"])
+    sub_acc: dict[int, list[dict]] = {}
+    for r in results:
+        if r["sub"] < 0:
+            stats.append({"partition": r["partition"], "rows": r["rows"]})
+        else:
+            sub_acc.setdefault(r["partition"], []).append(r)
+    for p, subs in sub_acc.items():
+        subs.sort(key=lambda r: r["sub"])
+        subs = [s for s in subs if s["rows"]]
+        rows = int(sum(s["rows"] for s in subs))
+        # sub-files are contiguous key ranges: a subject spanning k
+        # adjacent files is counted k times in the per-file distincts
+        # and k-1 times in the boundary-equality correction
+        distinct = int(sum(s["distinct"] for s in subs)) - sum(
+            1 for a, b in zip(subs, subs[1:])
+            if a["max_subj"] == b["min_subj"])
+        manifest = mat.commit_partition_dir(
+            out_dir, p, rows, distinct, fingerprint, files=len(subs), fs=fs)
+        stats.append({"partition": manifest["partition"],
+                      "rows": manifest["rows"]})
+    stats.sort(key=lambda m: m["partition"])
     fsio.rmtree(fs, runs_dir)
     return stats
 
@@ -588,6 +575,26 @@ def _edges_pass(batch: pa.Table, shard_dir: str) -> pa.Table:
     return _side_files([("edges", link.rank0(batch))], shard_dir)
 
 
+def _canonical_split(path: str, mapping: dict, split_write) -> pa.Table:
+    """Phase 2's pass over one phase-1 partition file: its triples with
+    their URIs rewritten through the canonical ``mapping``, through stage A
+    of the final materialize (``split_write``) → the split's commit rows.
+    The file goes to pandas and back the way Ray Data converts blocks."""
+    import pyarrow.parquet as pq
+    from ray.data.block import BlockAccessor
+
+    from ..stages import canonicalize
+
+    df = BlockAccessor.for_block(pq.read_table(path)).to_pandas()
+    return split_write(BlockAccessor.for_block(
+        canonicalize.rewrite_uris(df, mapping)).to_arrow())
+
+
+def _records(tables: list[pa.Table]) -> list[dict]:
+    """The rows of a pass's result tables, in order."""
+    return [r for t in tables for r in t.to_pylist()]
+
+
 def _prune_side_files(shard_dir: str, committed: set[str]) -> None:
     """Delete every file under the shard's side directories that no task
     result reported: an orphan of a retried task or a stray ``.tmp``."""
@@ -624,7 +631,28 @@ def run_full(pages_path: str, out_dir: str,
       phase 2  global canonicalization over all phase-1 triples (LSH blocking
                → connected components → URI rewrite) → final sorted
                partitioned materialize under out/final (manifested)
+
+    The extract is the only Ray Data execution of a shard.  Every later
+    step reads data that already exists (the gazetteer, the extracted
+    blocks, the distinct mentions, the run files, the phase-1 partition
+    files), so it is an ``aggregates.run_blocks`` pass: one task per CPU
+    slot, or in-process on the driver at one slot.  Phases 0 and 2 start
+    no execution while the guards hold (posting bytes, label rows, mapping
+    size).  The returned metrics list the passes under ``passes``: one
+    ``{site, items, tasks}`` entry per pass, ``tasks`` 0 when in-process.
     """
+    with record_passes() as passes:
+        metrics = _run_full(pages_path, out_dir, cfg, num_shards,
+                            partitions_per_shard, num_entities, canonicalize,
+                            local_label_limit)
+    metrics["passes"] = passes
+    return metrics
+
+
+def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
+              num_shards: int | None, partitions_per_shard: int,
+              num_entities: int, canonicalize: bool,
+              local_label_limit: int) -> dict:
     import ray.data as rd
 
     from ..sources.pages import make_gazetteer
@@ -718,15 +746,14 @@ def run_full(pages_path: str, out_dir: str,
             "GRAFT_RUN_COMPRESSION",
             "uncompressed" if shard_bytes < (1 << 30) else "lz4")
         runs_dir = _fresh_runs_dir(shard_dir)
-        # batch_size=None: one task per extracted block, as in stage A.
-        # The task results are the commit record of the runs AND the side
-        # files: a retried task's orphan is never read or kept
-        committed += tables.map_batches(
-            _shard_pass,
-            fn_kwargs=dict(split_write=_run_splitter(
+        # one _shard_pass call per extracted block.  The call results are
+        # the commit record of the runs AND the side files: a retried
+        # task's orphan is never read or kept
+        committed += _records(run_blocks(
+            _shard_pass, block_refs(tables),
+            dict(split_write=_run_splitter(
                 runs_dir, partitions_per_shard, run_comp),
-                shard_dir=shard_dir, merge_kw=merge_kw),
-            batch_format="pyarrow", batch_size=None).take_all()
+                shard_dir=shard_dir, merge_kw=merge_kw)))
         part_stats = _merge_runs(
             [c for c in committed if c["run_id"] is not None], shard_dir,
             runs_dir, ";".join(os.path.basename(f) for f in frag_group),
@@ -751,6 +778,7 @@ def run_full(pages_path: str, out_dir: str,
     committed_final = fsio.read_json(None, final_manifest)
     if committed_final is None:
         from ..stages.canonicalize import (
+            MAPPING_BROADCAST_LIMIT,
             alias_edges_from_labels,
             alias_edges_local,
             apply_canonical_mapping,
@@ -792,14 +820,29 @@ def run_full(pages_path: str, out_dir: str,
                     mapping = mapping_ds_from_edges(edges_ds, cfg).materialize()
                     n_merged = mapping.count()
         if n_merged:
-            triples_all = read_output(out_dir)
-            part_cols = [c for c in ("shard", "part")
-                         if c in (triples_all.schema().names or [])]
-            if part_cols:
-                triples_all = triples_all.drop_columns(part_cols)
-            part_stats = materialize_triples(
-                apply_canonical_mapping(triples_all, mapping), final_dir,
-                num_partitions=cfg.num_output_partitions, fingerprint="phase2")
+            if isinstance(mapping, dict) and \
+                    len(mapping) <= MAPPING_BROADCAST_LIMIT:
+                # the phase-1 partition files exist: read + rewrite + split
+                # is one pass over them, then stage B
+                runs_dir = _fresh_runs_dir(final_dir)
+                split_write = _run_splitter(
+                    runs_dir, cfg.num_output_partitions,
+                    os.environ.get("GRAFT_RUN_COMPRESSION", "uncompressed"))
+                part_stats = _merge_runs(
+                    _records(run_blocks(
+                        _canonical_split, output_files(out_dir),
+                        dict(mapping=mapping, split_write=split_write))),
+                    final_dir, runs_dir, "phase2", split_rows=None)
+            else:
+                triples_all = read_output(out_dir)
+                part_cols = [c for c in ("shard", "part")
+                             if c in (triples_all.schema().names or [])]
+                if part_cols:
+                    triples_all = triples_all.drop_columns(part_cols)
+                part_stats = materialize_triples(
+                    apply_canonical_mapping(triples_all, mapping), final_dir,
+                    num_partitions=cfg.num_output_partitions,
+                    fingerprint="phase2")
             n_final = sum(m["rows"] for m in part_stats)
             layout = "final"
         else:
@@ -827,6 +870,12 @@ def read_output(out_dir: str, fs=None):
     """All committed triples (only shards with manifests)."""
     import ray.data as rd
 
+    return rd.read_parquet(output_files(out_dir, fs), filesystem=fs)
+
+
+def output_files(out_dir: str, fs=None) -> list[str]:
+    """The data files of every committed phase-1 partition (only shards
+    with manifests)."""
     from ..state import fsio
 
     done = completed_shards(out_dir, fs=fs)
@@ -843,4 +892,4 @@ def read_output(out_dir: str, fs=None):
                 )
     if not paths:
         raise FileNotFoundError(f"no completed shards under {out_dir}")
-    return rd.read_parquet(paths, filesystem=fs)
+    return paths

@@ -686,6 +686,18 @@ def build_canonical_mapping(triples_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
 MAPPING_BROADCAST_LIMIT = 5_000_000
 
 
+def rewrite_uris(df: pd.DataFrame, mapping) -> pd.DataFrame:
+    """Triples with ``subj`` and the uri-typed ``obj`` values rewritten
+    through the sameAs ``mapping`` dict; unmapped URIs stay as they are."""
+    mapped = df["subj"].map(mapping)
+    df["subj"] = mapped.where(mapped.notna(), df["subj"])
+    is_uri = df["obj_type"] == "uri"
+    if is_uri.any():
+        mo = df.loc[is_uri, "obj"].map(mapping)
+        df.loc[is_uri, "obj"] = mo.where(mo.notna(), df.loc[is_uri, "obj"])
+    return df
+
+
 def apply_canonical_mapping(triples_ds, mapping,
                             broadcast_limit: int = MAPPING_BROADCAST_LIMIT,
                             bucket_count: int | None = None):
@@ -702,19 +714,9 @@ def apply_canonical_mapping(triples_ds, mapping,
             return triples_ds
         if len(mapping) <= broadcast_limit:
             map_ref = ray.put(mapping)
-
-            def rewrite(df: pd.DataFrame) -> pd.DataFrame:
-                m = ray.get(map_ref)
-                mapped = df["subj"].map(m)
-                df["subj"] = mapped.where(mapped.notna(), df["subj"])
-                is_uri = df["obj_type"] == "uri"
-                if is_uri.any():
-                    mo = df.loc[is_uri, "obj"].map(m)
-                    df.loc[is_uri, "obj"] = mo.where(mo.notna(),
-                                                     df.loc[is_uri, "obj"])
-                return df
-
-            return triples_ds.map_batches(rewrite, batch_format="pandas")
+            return triples_ds.map_batches(
+                lambda df: rewrite_uris(df, ray.get(map_ref)),
+                batch_format="pandas")
         mapping = rd.from_pandas(pd.DataFrame(
             {"uri": list(mapping.keys()), "canon": list(mapping.values())}))
     return apply_canonical_mapping_join(triples_ds, mapping, bucket_count)

@@ -93,7 +93,12 @@ def _tag(ds, on: str, side: int, cols: list[str],
 
     def tag(tbl: pa.Table) -> pa.Table:
         n = tbl.num_rows
-        out = {"__key": tbl.column(on)}
+        key = tbl.column(on)
+        if pa.types.is_floating(key.type):
+            # -0.0 + 0.0 is +0.0: Acero hashes a float key by its bits, so
+            # -0.0 would never meet 0.0 (pandas and SQL match them)
+            key = pc.add(key, pa.scalar(0.0, key.type))
+        out = {"__key": key}
         for c in cols:
             out[c] = (tbl.column(c) if c in tbl.column_names
                       else pa.nulls(n, type=types.get(c, pa.null())))

@@ -35,7 +35,13 @@ from ..state.index import (
     score_gaps,
     top_hits,
 )
-from .aggregates import bucket_map
+from .aggregates import (
+    block_refs,
+    bucket_map,
+    dedupe_by_key,
+    is_materialized,
+    run_blocks,
+)
 
 EDGE_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -305,21 +311,31 @@ def distinct_mentions(source_ds, from_tables: bool = False):
     blocks× (measured 53k rows / 130 MB for ~1k true mentions at 160
     blocks — worker state builds alone cost 149 CPU-s).  The exchange
     input is bounded by true-distinct × block-count, the same magnitude
-    as the resolve output itself."""
-    import ray
+    as the resolve output itself.
 
-    from .aggregates import dedupe_by_key
+    A materialized ``source_ds`` (run_full's table records) gets its
+    per-block unique as an ``aggregates.run_blocks`` pass, straight into
+    ``bucket_map``; a lazy one keeps the map fused with its upstream."""
+    import ray.data as rd
+
+    # looked up per call: tests monkeypatch aggregates.cpu_slots
+    from .aggregates import cpu_slots
 
     fn = distinct_mentions_from_tables_batch if from_tables \
         else _unique_mentions_batch
-    part = source_ds.map_batches(fn, batch_format="pyarrow")
     # the bucket count doubles as the output block count (one block per
     # bucket), so the resolve pass runs one task per CPU slot with no extra
     # exchange: a fixed count would cap it on a big cluster, and more blocks
     # than slots only add task launches (at one CPU the kg_crawl resolve
     # took 0.39-0.72 s over 8 blocks, 0.18-0.22 s over one; BASELINE.md #51)
-    n_blocks = max(1, int(ray.cluster_resources().get("CPU", 4)))
-    return dedupe_by_key(part, "mention", num_buckets=n_blocks)
+    n_blocks = cpu_slots()
+    if not is_materialized(source_ds):
+        part = source_ds.map_batches(fn, batch_format="pyarrow")
+        return dedupe_by_key(part, "mention", num_buckets=n_blocks)
+    parts = run_blocks(fn, block_refs(source_ds)) or \
+        [pa.table({"mention": pa.array([], pa.string())})]
+    return bucket_map(rd.from_arrow(parts), "mention", n_blocks,
+                      lambda df: df.drop_duplicates("mention"))
 
 
 # ---------------------------------------------------------------------------
@@ -939,33 +955,39 @@ def link_merge_plan(distinct_ds, index_dir: str,
             f"link_shard_route=True needs a sharded index with _meta.json "
             f"under {index_dir} (rebuild with build_index)")
     distinct = distinct_ds.materialize()
-    if sharded:
-        resolved = resolve_mentions_sharded(
-            distinct, index_dir, top_k=top_k, max_edit=cfg.max_edit_distance,
-            fuzzy=True, shards=[int(s) for s in meta["shards"]])
-    else:
-        resolved = distinct.map_batches(resolve_mentions_batch, fn_kwargs=kw,
-                                        batch_format="pyarrow")
     mkw = dict(kw, payload_mode=bool(sharded))
     use_bucket = distinct.count() > cfg.link_broadcast_limit
-    if not use_bucket:
-        # resolve ONCE: to_arrow_refs() on the lazy Dataset would run the
-        # resolve a second time (under a limit-1 plan) just to fetch the
-        # schema
-        resolved = resolved.materialize()
-        # payload-carrying resolved rows are ~100× heavier than eid rows
-        # (measured 143 MB for 13k distinct mentions at a 200k-entity KB) —
-        # byte-guard the broadcast the same way every other broadcast in the
-        # repo is guarded, and fall back to the co-partitioned bucket merge
-        use_bucket = sharded and \
-            resolved.size_bytes() > cfg.link_payload_broadcast_bytes
-    if use_bucket:
-        return mkw, resolved
+    if not (sharded or use_bucket):
+        # replicated index, broadcast merge: the resolved rows go to the
+        # driver anyway, so the resolve is a pass over the distinct blocks
+        parts = run_blocks(resolve_mentions_batch, block_refs(distinct), kw)
+    else:
+        if sharded:
+            resolved = resolve_mentions_sharded(
+                distinct, index_dir, top_k=top_k,
+                max_edit=cfg.max_edit_distance, fuzzy=True,
+                shards=[int(s) for s in meta["shards"]])
+        else:
+            resolved = distinct.map_batches(resolve_mentions_batch,
+                                            fn_kwargs=kw,
+                                            batch_format="pyarrow")
+        if not use_bucket:
+            # resolve ONCE: to_arrow_refs() on the lazy Dataset would run
+            # the resolve a second time (under a limit-1 plan) just to
+            # fetch the schema
+            resolved = resolved.materialize()
+            # payload-carrying resolved rows are ~100× heavier than eid
+            # rows (measured 143 MB for 13k distinct mentions at a
+            # 200k-entity KB) — byte-guard the broadcast the same way every
+            # other broadcast in the repo is guarded, and fall back to the
+            # co-partitioned bucket merge
+            use_bucket = \
+                resolved.size_bytes() > cfg.link_payload_broadcast_bytes
+        if use_bucket:
+            return mkw, resolved
+        parts = ray.get(resolved.to_arrow_refs())
 
-    parts = [t if isinstance(t, pa.Table)
-             else pa.Table.from_pandas(t, schema=RESOLVED_SCHEMA,
-                                       preserve_index=False)
-             for t in ray.get(resolved.to_arrow_refs()) if len(t)]
+    parts = [t for t in parts if len(t)]
     tbl = pa.concat_tables(parts) if parts else pa.Table.from_pydict(
         {c: [] for c in RESOLVED_SCHEMA.names}, schema=RESOLVED_SCHEMA)
     # belt-and-braces: the broadcast must hold each mention ONCE — any

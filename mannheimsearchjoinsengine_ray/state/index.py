@@ -132,8 +132,10 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
     shard] + ``_meta.json`` (global n_entries, live shards, bytes).
     Returns the number of distinct postings.
 
-    The posting map runs as ONE Dataset job and is materialized to MEASURE
-    the posting bytes (the ``two_phase_agg`` pattern).  Under
+    The posting map runs once and its output is measured (the
+    ``two_phase_agg`` pattern): over a materialized input within the guard
+    it is an ``aggregates.run_blocks`` pass (no Ray Data execution),
+    otherwise ONE Dataset job, materialized.  Under
     ``driver_final_bytes`` (default ``GRAFT_INDEX_DRIVER_BYTES`` or the
     house 32 MB guard) the dedupe/df/vocab/shard finish happens ON THE
     DRIVER — the distributed tail is three more exchanges over the posting
@@ -148,7 +150,10 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
     the pickled fs).  ``None`` = POSIX fast path (see ``state/fsio.py``)."""
     from ..stages.aggregates import (
         DRIVER_FINAL_BYTES,
+        block_refs,
         dedupe_by_key,
+        is_materialized,
+        run_blocks,
         two_phase_agg,
     )
     from . import fsio
@@ -165,15 +170,29 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
             fsio.remove(fs, os.path.join(index_dir, f))
     fsio.rmtree(fs, os.path.join(index_dir, _VOCAB_DIR))
 
-    postings = entities_ds.map_batches(postings_from_entities_batch,
-                                       batch_format="pyarrow").materialize()
-    if (postings.size_bytes() or 0) <= driver_final_bytes:
-        import ray as _ray
+    postings = None
+    if is_materialized(entities_ds) and \
+            (entities_ds.size_bytes() or 0) <= driver_final_bytes:
+        # entities that already exist and fit the guard: the posting map is
+        # a pass over their blocks (in-process at one CPU slot)
+        blocks = run_blocks(postings_from_entities_batch,
+                            block_refs(entities_ds.materialize()))
+        if sum(b.nbytes for b in blocks) > driver_final_bytes:
+            import ray.data as rd
 
-        refs = postings.to_arrow_refs()
-        blocks = [b for b in _ray.get(refs) if b.num_rows] if refs else []
-        # empty blocks pass through with the INPUT schema (Ray never calls
-        # the UDF on them) — an all-empty pull must still be POSTING_SCHEMA
+            postings = rd.from_arrow(blocks)
+    else:
+        postings = entities_ds.map_batches(postings_from_entities_batch,
+                                           batch_format="pyarrow").materialize()
+        if (postings.size_bytes() or 0) <= driver_final_bytes:
+            import ray as _ray
+
+            blocks, postings = _ray.get(postings.to_arrow_refs()), None
+    if postings is None:
+        # empty blocks pass a map_batches through with the INPUT schema (Ray
+        # never calls the UDF on them) — an all-empty pull must still be
+        # POSTING_SCHEMA
+        blocks = [b for b in blocks if b.num_rows]
         tbl = pa.concat_tables(blocks) if blocks \
             else POSTING_SCHEMA.empty_table()
         return _build_index_driver(tbl, index_dir, num_shards, fs)

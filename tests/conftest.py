@@ -37,3 +37,13 @@ def exchange_path(monkeypatch):
     from mannheimsearchjoinsengine_ray.stages import aggregates
 
     monkeypatch.setattr(aggregates, "DRIVER_FINAL_BYTES", -1)
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Every ``aggregates.run_blocks`` pass runs in-process on the driver,
+    as on a cluster of one CPU slot.  The session cluster has four, so a
+    pass over several items runs as Ray tasks by default."""
+    from mannheimsearchjoinsengine_ray.stages import aggregates
+
+    monkeypatch.setattr(aggregates, "cpu_slots", lambda: 1)

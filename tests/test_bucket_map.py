@@ -48,6 +48,11 @@ def _shape(name: str):
                                 unit="h")
         return [pd.DataFrame({"k": pd.Timestamp("2024-01-01") + days + hours,
                               "v": i})], "k"
+    if name == "signed_zero_float_keys":
+        # -0.0 and 0.0 are one key (Arrow casts them to "-0" and "0")
+        return [pd.DataFrame({"k": [(-0.0, 0.0, 1.5)[i % 3]
+                                    for i in range(n)],
+                              "v": np.arange(n)})], "k"
     if name == "string_keys":
         return [pd.DataFrame({"k": [str(i % 37) for i in range(n)],
                               "v": np.arange(n)})], "k"
@@ -75,8 +80,8 @@ def _dataset(df: pd.DataFrame, arrow_blocks: bool):
 
 
 SHAPES = ["empty", "hot_key", "null_keys", "two_column_key", "int_keys",
-          "int_keys_nulls_in_one_block", "datetime_keys", "string_keys",
-          "two_sides"]
+          "int_keys_nulls_in_one_block", "datetime_keys",
+          "signed_zero_float_keys", "string_keys", "two_sides"]
 
 
 @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])

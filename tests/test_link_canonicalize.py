@@ -54,11 +54,18 @@ def test_index_build_local_distributed_identical(ray_session, tmp_path):
 
     import ray.data as rd
 
+    from mannheimsearchjoinsengine_ray.stages import aggregates
+
     gaz = pa.table(P.make_gazetteer(300))
+    # three blocks: the driver build's posting map is a run_blocks pass
+    blocks = [gaz.slice(i, 100) for i in (0, 100, 200)]
     d_loc = str(tmp_path / "idx_local")
     d_dist = str(tmp_path / "idx_dist")
-    n_loc = IX.build_index(rd.from_arrow(gaz), d_loc, num_shards=4)
-    n_dist = IX.build_index(rd.from_arrow(gaz), d_dist, num_shards=4,
+    with aggregates.record_passes() as passes:
+        n_loc = IX.build_index(rd.from_arrow(blocks), d_loc, num_shards=4)
+    assert passes == [{"site": "postings_from_entities_batch", "items": 3,
+                       "tasks": 0 if aggregates.cpu_slots() == 1 else 3}]
+    n_dist = IX.build_index(rd.from_arrow(blocks), d_dist, num_shards=4,
                             driver_final_bytes=0)
     assert n_loc == n_dist > 0
 
@@ -88,6 +95,14 @@ def test_index_build_local_distributed_identical(ray_session, tmp_path):
     label = P.entity_label(7)
     assert IX.LabelIndex(d_loc).search(label) == \
         IX.LabelIndex(d_dist).search(label)
+
+
+def test_index_build_local_distributed_identical_in_process(ray_session,
+                                                            in_process,
+                                                            tmp_path):
+    """The same with the driver build's posting map in-process on the
+    driver (over 3 blocks: as tasks on the session cluster otherwise)."""
+    test_index_build_local_distributed_identical(ray_session, tmp_path)
 
 
 def test_search_exact_and_fuzzy(index_dir):

@@ -409,6 +409,22 @@ def test_bucket_join_timestamp_key_units(ray_session, exchange_path):
     assert sorted(zip(got["a"], got["b"])) == [(2 * i, i) for i in range(25)]
 
 
+def test_bucket_join_signed_zero_float_keys(ray_session, exchange_path):
+    """Float keys -0.0 and 0.0 are one key on the exchange path, as in
+    ``pd.merge``: the bucket hash reads both as "0"."""
+    import ray.data as rd
+
+    left = pd.DataFrame({"k": [-0.0, 0.0, 1.5, -2.0, 0.0],
+                         "a": np.arange(5)})
+    right = pd.DataFrame({"rk": [0.0, -0.0, 1.5, 2.0], "b": np.arange(4)})
+    got = bucket_join(rd.from_arrow(pa.Table.from_pandas(left)).repartition(2),
+                      rd.from_arrow(pa.Table.from_pandas(right)),
+                      "k", "rk", bucket_count=8).to_pandas()
+    want = left.merge(right, left_on="k", right_on="rk")
+    assert len(want) == 7
+    assert sorted(zip(got["a"], got["b"])) == sorted(zip(want["a"], want["b"]))
+
+
 def _asof_case(name: str):
     """→ (left, right, inner) for one as-of edge case; keys ``k``/``rk``,
     timestamps ``ts``/``rts``, right unique per (key, ts)."""

@@ -2,8 +2,12 @@
 the unfused phase 1 it replaced (separate executions for triples →
 materialize, link → edges write and labels write), plus its commit rules:
 unreported side files are pruned, a keyless block keeps the split schema,
-partition bytes do not depend on run order, and phase 1 runs 5 Ray Data
-executions per shard on the broadcast path."""
+partition bytes do not depend on run order, and a run starts one Ray Data
+execution per shard (the extract) on the broadcast path.
+
+Each ``aggregates.run_blocks`` pass runs as Ray tasks on the four-CPU
+session cluster; the ``*_in_process`` tests repeat a check with every pass
+forced in-process on the driver (the ``in_process`` fixture)."""
 
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import pytest
 from mannheimsearchjoinsengine_ray.config import PipelineConfig
 from mannheimsearchjoinsengine_ray.pipelines import kg
 from mannheimsearchjoinsengine_ray.sources import pages as P
+from mannheimsearchjoinsengine_ray.stages import aggregates
 from mannheimsearchjoinsengine_ray.stages import link as L
 from mannheimsearchjoinsengine_ray.stages import triples as T
 from mannheimsearchjoinsengine_ray.state import fsio
@@ -133,7 +138,30 @@ def test_fused_equals_unfused(ray_session, corpus_dir, tmp_path,
     assert m["merged_uris"] > 0
     # the co-partitioned path writes its edges from its own bucket exchange
     assert len(joins) == (0 if broadcast_limit is None else 2)
+    assert_passes(m["passes"])
     assert_same_outputs(ref, out)
+
+
+def assert_passes(passes: list[dict]) -> None:
+    """Every pass of a run took the branch its CPU slots give: in-process
+    at one slot, as tasks otherwise (where it has several items)."""
+    assert {p["site"] for p in passes} >= {"_shard_pass", "_merge_unit",
+                                          "_canonical_split"}
+    if aggregates.cpu_slots() == 1:
+        assert {p["tasks"] for p in passes} == {0}
+    else:
+        assert all(p["tasks"] == min(p["items"], aggregates.cpu_slots())
+                   for p in passes if p["items"] > 1)
+        assert any(p["tasks"] > 1 for p in passes)
+
+
+@pytest.mark.parametrize("broadcast_limit", [None, 0],
+                         ids=["broadcast", "copartitioned"])
+def test_fused_equals_unfused_in_process(ray_session, in_process, corpus_dir,
+                                         tmp_path, monkeypatch,
+                                         broadcast_limit):
+    test_fused_equals_unfused(ray_session, corpus_dir, tmp_path, monkeypatch,
+                              broadcast_limit)
 
 
 def test_fused_equals_unfused_copartitioned_exchange(ray_session,
@@ -206,6 +234,13 @@ def test_unreported_side_files_are_pruned(ray_session, corpus_dir, tmp_path,
         assert names and sorted(os.listdir(d)) == names
 
 
+def test_unreported_side_files_are_pruned_in_process(ray_session, in_process,
+                                                     corpus_dir, tmp_path,
+                                                     monkeypatch):
+    test_unreported_side_files_are_pruned(ray_session, corpus_dir, tmp_path,
+                                          monkeypatch)
+
+
 def test_keyless_shard_keeps_split_schema(ray_session, corpus_dir, tmp_path):
     """A shard whose every table is keyless yields no triples: its split
     rows are empty but carry the full (partition, rows, run_id) schema, so
@@ -246,11 +281,13 @@ def test_keyless_shard_keeps_split_schema(ray_session, corpus_dir, tmp_path):
     assert os.listdir(os.path.join(out, "shard=00001", "labels")) == []
 
 
-def test_phase1_runs_five_executions_per_shard(ray_session, corpus_dir,
-                                               tmp_path, monkeypatch):
-    """Broadcast path: extract, distinct mentions, resolve, the shard pass
-    and the stage-B merge, counted between a shard's page read and its
-    manifest write."""
+def test_phase1_runs_one_execution_per_shard(ray_session, corpus_dir,
+                                             tmp_path, monkeypatch):
+    """Broadcast path: the extract is the one Ray Data execution between a
+    shard's page read and its manifest write (distinct mentions, resolve,
+    shard pass and stage-B merge are ``run_blocks`` passes), and phase 0
+    (before the first shard) and phase 2 (after the last manifest) start
+    none: a canonicalizing ``run_full`` starts one execution per shard."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -276,8 +313,22 @@ def test_phase1_runs_five_executions_per_shard(ray_session, corpus_dir,
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     monkeypatch.setattr(kg, "read_pages", read_pages)
     monkeypatch.setattr(fsio, "write_json_atomic", commit)
-    kg.run_full(corpus_dir, str(tmp_path / "out"), num_shards=2,
-                partitions_per_shard=2)
-    windows = " ".join(events).split("shard")[1:]
-    assert [w.split("commit")[0].count("exec") for w in windows] == [5, 5], \
+    m = kg.run_full(corpus_dir, str(tmp_path / "out"),
+                    cfg=PipelineConfig(**MERGE_CFG), num_shards=2,
+                    partitions_per_shard=2)
+    assert m["merged_uris"] > 0
+    text = " ".join(events)
+    windows = text.split("shard")[1:]
+    assert [w.split("commit")[0].count("exec") for w in windows] == [1, 1], \
         events
+    assert text.split("shard")[0].count("exec") == 0, events
+    assert text.rsplit("commit", 1)[1].count("exec") == 0, events
+    assert_passes(m["passes"])
+
+
+def test_phase1_runs_one_execution_per_shard_in_process(ray_session,
+                                                        in_process,
+                                                        corpus_dir, tmp_path,
+                                                        monkeypatch):
+    test_phase1_runs_one_execution_per_shard(ray_session, corpus_dir,
+                                             tmp_path, monkeypatch)
