@@ -22,9 +22,12 @@ from ..functions import hashing, textstats
 
 
 def _rp(sf_dir: str, table: str, columns=None):
-    import ray.data as rd
+    """A table's column-pruned read: already materialized, with no Ray Data
+    execution, when the columns fit the driver guard
+    (``aggregates.read_parquet_blocks``), else the lazy ``read_parquet``."""
+    from ..stages.aggregates import read_parquet_blocks
 
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    return read_parquet_blocks(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _round_df(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
@@ -76,17 +79,19 @@ def q_revenue_by_nation(sf_dir: str,
     then on custkey (both paths hash-equal, exercised in tests)."""
     import ray
 
+    from ..stages.aggregates import map_blocks, two_phase_agg
+    from ..stages.joins import bucket_join
+
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-    li = li.map_batches(
+    li = map_blocks(
+        li,
         lambda t: pa.table({
             "l_orderkey": t["l_orderkey"],
             "revenue": pc.multiply(t["l_extendedprice"],
                                    pc.subtract(pa.scalar(1.0), t["l_discount"])),
         }),
-        batch_format="pyarrow")
+        "pyarrow")
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    from ..stages.aggregates import two_phase_agg
-    from ..stages.joins import bucket_join
 
     nation = _rp(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     cust_ds = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -115,23 +120,26 @@ def q_revenue_by_nation(sf_dir: str,
             return pd.DataFrame({"n_name": names_arr[cds[idx[hit]]],
                                  "revenue": df["revenue"].to_numpy()[hit]})
 
-        tagged = li.map_batches(attach_nation, batch_format="pandas")
+        tagged = map_blocks(li, attach_nation, "pandas")
     else:
         # nation (25 rows) stays a broadcast merge; orders and customer go
         # through co-partitioned joins keyed on orderkey then custkey
         joined = bucket_join(li, orders, left_on="l_orderkey",
                              right_on="o_orderkey")
         nation_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
-        cust_named = cust_ds.map_batches(
+        cust_named = map_blocks(
+            cust_ds,
             lambda df: pd.DataFrame({
                 "c_custkey": df["c_custkey"],
                 "n_name": df["c_nationkey"].map(ray.get(nation_ref))}),
-            batch_format="pandas")
-        tagged = bucket_join(joined.map_batches(
-            lambda df: df[["o_custkey", "revenue"]], batch_format="pandas"),
-            cust_named, left_on="o_custkey", right_on="c_custkey") \
-            .map_batches(lambda df: df[["n_name", "revenue"]],
-                         batch_format="pandas")
+            "pandas")
+        tagged = map_blocks(
+            bucket_join(map_blocks(joined,
+                                   lambda df: df[["o_custkey", "revenue"]],
+                                   "pandas"),
+                        cust_named, left_on="o_custkey",
+                        right_on="c_custkey"),
+            lambda df: df[["n_name", "revenue"]], "pandas")
 
     out = two_phase_agg(tagged, ["n_name"], {"revenue": ("revenue", "sum")})
     return _round_df(out.to_pandas(), {"revenue": 2})
@@ -204,15 +212,16 @@ def q_customers_with_orders(sf_dir: str):
     import ray
 
     from ..functions.hashing import bloom_contains, bloom_partial
-    from ..stages.aggregates import two_phase_agg
+    from ..stages.aggregates import map_blocks, two_phase_agg
     from ..stages.joins import bucket_semi_join
 
     num_bits = 1 << 22
     orders = _rp(sf_dir, "orders", ["o_custkey"])
-    partials = orders.map_batches(
+    partials = map_blocks(
+        orders,
         lambda df: pd.DataFrame({"bloom": [bloom_partial(
             df["o_custkey"].to_numpy(), num_bits=num_bits).tobytes()]}),
-        batch_format="pandas").to_pandas()
+        "pandas").to_pandas()
     bloom = np.zeros(num_bits // 8, dtype=np.uint8)
     for b in partials["bloom"]:
         bloom |= np.frombuffer(b, dtype=np.uint8)
@@ -222,8 +231,9 @@ def q_customers_with_orders(sf_dir: str):
         hit = bloom_contains(ray.get(bloom_ref), df["c_custkey"].to_numpy())
         return df[hit]
 
-    residue = _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
-        .map_batches(maybe, batch_format="pandas")
+    residue = map_blocks(
+        _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"]), maybe,
+        "pandas")
     verified = bucket_semi_join(residue, orders, left_on="c_custkey",
                                 right_on="o_custkey", bucket_count=None)
     out = two_phase_agg(verified, ["c_mktsegment"],
@@ -245,14 +255,16 @@ def q_orders_without_lineitems(sf_dir: str):
     import ray
 
     from ..functions.hashing import bloom_contains, bloom_partial
+    from ..stages.aggregates import map_blocks, materialized
     from ..stages.joins import bucket_anti_join
 
     num_bits = 1 << 22
     li = _rp(sf_dir, "lineitem", ["l_orderkey"])
-    partials = li.map_batches(
+    partials = map_blocks(
+        li,
         lambda df: pd.DataFrame({"bloom": [bloom_partial(
             df["l_orderkey"].to_numpy(), num_bits=num_bits).tobytes()]}),
-        batch_format="pandas").to_pandas()
+        "pandas").to_pandas()
     bloom = np.zeros(num_bits // 8, dtype=np.uint8)
     for b in partials["bloom"]:
         bloom |= np.frombuffer(b, dtype=np.uint8)
@@ -266,16 +278,18 @@ def q_orders_without_lineitems(sf_dir: str):
         out["__maybe"] = maybe
         return out
 
-    tagged = orders.map_batches(split, batch_format="pandas").materialize()
-    definite = tagged.map_batches(
-        lambda df: df[~df["__maybe"]].drop(columns="__maybe"),
-        batch_format="pandas")
-    residue = tagged.map_batches(
-        lambda df: df[df["__maybe"]].drop(columns="__maybe"),
-        batch_format="pandas")
+    tagged = materialized(map_blocks(orders, split, "pandas"))
+    definite = map_blocks(
+        tagged, lambda df: df[~df["__maybe"]].drop(columns="__maybe"),
+        "pandas")
+    residue = map_blocks(
+        tagged, lambda df: df[df["__maybe"]].drop(columns="__maybe"),
+        "pandas")
     verified = bucket_anti_join(residue, li, left_on="o_orderkey",
                                 right_on="l_orderkey", bucket_count=None)
-    return definite.union(verified).to_pandas()
+    frames = [definite.to_pandas(), verified.to_pandas()]
+    return pd.concat([f for f in frames if len(f)] or frames,
+                     ignore_index=True)
 
 
 def q_events_last_order(sf_dir: str):
@@ -630,11 +644,11 @@ def q_exact_dedup(sf_dir: str):
     Map-side partials collapse duplicates per batch, so at most one
     representative text row per (hash, batch) travels — the text rides as a
     value, the wide column never becomes a sort key."""
-    from ..stages.aggregates import two_phase_agg
+    from ..stages.aggregates import map_blocks, two_phase_agg
     from ..stages.dedup import add_content_hash
 
-    hashed = _rp(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        add_content_hash, batch_format="pyarrow")
+    hashed = map_blocks(_rp(sf_dir, "documents", ["doc_id", "text"]),
+                        add_content_hash, "pyarrow")
     out = two_phase_agg(hashed, ["content_hash"],
                         {"keep_id": ("doc_id", "min"),
                          "n_copies": (None, "count"),

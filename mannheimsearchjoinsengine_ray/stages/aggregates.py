@@ -24,12 +24,16 @@ after the final merge).  Output column names are exactly the spec keys.
 ``run_blocks`` is the pass over data that already exists — the blocks of a
 materialized Dataset, files, work rows — without starting a Ray Data
 execution: plain tasks, or the driver itself when the pass would launch a
-single task.
+single task.  Within the same driver guard, ``read_parquet_blocks`` reads a
+table's files and ``map_blocks`` maps a materialized Dataset's blocks
+through it, so small relational inputs start no execution at all; lazy
+inputs and larger ones keep ``read_parquet``/``map_batches``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 
 import numpy as np
 import pandas as pd
@@ -114,6 +118,18 @@ def is_materialized(ds) -> bool:
     return isinstance(ds, MaterializedDataset)
 
 
+def materialized(ds):
+    """``ds.materialize()``, or ``ds`` itself when it is already the output
+    of one (its plan holds the block list).  Every ``materialize()`` builds
+    two Dataset objects, and each asks Ray Data's stats actor for an id: a
+    round trip to another process (~6 ms per call on a one-CPU local
+    cluster), that the pass over blocks otherwise pays again at every
+    operator boundary."""
+    if is_materialized(ds) and ds._plan.has_computed_output():
+        return ds
+    return ds.materialize()
+
+
 # the {site, items, tasks} entries of the open ``record_passes`` block
 _passes: list[dict] | None = None
 # ``_run_share`` as a Ray remote function, made on first use
@@ -133,27 +149,31 @@ def record_passes():
         _passes = outer
 
 
-def _run_share(fn, items: list, kw: dict) -> list:
+def _run_share(fn, items: list, kw: dict, batch_format: str) -> list:
     """``fn(item, **kw)`` for each item in order; a block ref is fetched
-    when its turn comes (one block held at a time) and passed as Arrow."""
+    when its turn comes (one block held at a time) and passed in
+    ``batch_format``."""
     import ray
     from ray.data.block import BlockAccessor
 
     out = []
     for item in items:
         if isinstance(item, ray.ObjectRef):
-            item = BlockAccessor.for_block(ray.get(item)).to_arrow()
+            item = BlockAccessor.for_block(ray.get(item)) \
+                .to_batch_format(batch_format)
         out.append(fn(item, **kw))
     return out
 
 
-def run_blocks(fn, items, fn_kwargs: dict | None = None) -> list:
+def run_blocks(fn, items, fn_kwargs: dict | None = None,
+               batch_format: str = "pyarrow") -> list:
     """``fn(item, **fn_kwargs)`` for every item, results in item order —
     the pass over data that already exists, without a Ray Data execution.
 
     ``items`` are block refs of a materialized Dataset (``block_refs``;
-    ``fn`` gets each block as an Arrow table) or plain values such as file
-    paths or work rows.  With n = min(len(items), ``cpu_slots()``):
+    ``fn`` gets each block in ``batch_format``, Arrow by default) or plain
+    values such as file paths or work rows.  With n = min(len(items),
+    ``cpu_slots()``):
 
     * n == 1: ``fn`` runs in-process on the driver, one item at a time.  A
       remote task would add nothing but its launch.
@@ -174,16 +194,125 @@ def run_blocks(fn, items, fn_kwargs: dict | None = None) -> list:
         _passes.append({"site": getattr(fn, "__name__", repr(fn)),
                         "items": len(items), "tasks": n if n > 1 else 0})
     if n <= 1:
-        return _run_share(fn, items, kw)
+        return _run_share(fn, items, kw, batch_format)
     if _remote_share is None:
         _remote_share = ray.remote(_run_share)
     kw_ref = ray.put(kw)
-    shares = ray.get([_remote_share.remote(fn, items[i::n], kw_ref)
+    shares = ray.get([_remote_share.remote(fn, items[i::n], kw_ref,
+                                           batch_format)
                       for i in range(n)])
     out: list = [None] * len(items)
     for i, share in enumerate(shares):
         out[i::n] = share
     return out
+
+
+def _driver_dataset(blocks: list):
+    """Blocks held by the driver → an already-materialized Dataset, one
+    block each.  ``from_blocks`` reads each block's metadata in-process;
+    ``from_arrow``/``from_pandas`` run one Ray task per block for it, a
+    worker round trip per block of every driver pass.  Its plan is then
+    marked executed the way ``materialize()`` marks its own output (the
+    plan's source already holds the blocks, so nothing runs), without the
+    two further Dataset objects ``materialize()`` builds: measured 4.2 ms
+    against 8.8 ms per call on a one-CPU local cluster."""
+    import ray.data as rd
+
+    data = rd.from_blocks(blocks)
+    data._plan.execute()
+    return data
+
+
+def _as_dataset(batches: list):
+    """Batches → an already-materialized Dataset, one block each, of the
+    block kind ``map_batches`` gives for them: pandas when every batch is a
+    DataFrame, else Arrow.  Empty batches drop, unless all are empty — the
+    first then stays, so the schema survives."""
+    from ray.data.block import BlockAccessor
+
+    blocks = [BlockAccessor.batch_to_block(b) for b in batches]
+    kept = [b for b in blocks if BlockAccessor.for_block(b).num_rows()] \
+        or blocks[:1]
+    if all(isinstance(b, pd.DataFrame) for b in kept):
+        return _driver_dataset(kept)
+    return _driver_dataset([BlockAccessor.for_block(b).to_arrow()
+                            for b in kept])
+
+
+def map_blocks(ds, fn, batch_format: str):
+    """``ds.map_batches(fn, batch_format=...)`` — or, when ``ds`` is
+    materialized and measures at most ``DRIVER_FINAL_BYTES`` (read per
+    call), the same calls as a ``run_blocks`` pass, one per block, returned
+    as an already-materialized Dataset of the block kind ``map_batches``
+    would give: no Ray Data execution starts.  A lazy ``ds`` keeps its
+    fused ``map_batches``: it is never materialized just to take the
+    pass."""
+    if is_materialized(ds):
+        data = materialized(ds)
+        if (data.size_bytes() or 0) <= DRIVER_FINAL_BYTES:
+            refs = block_refs(data)
+            if refs:
+                return _as_dataset(run_blocks(fn, refs,
+                                              batch_format=batch_format))
+    return ds.map_batches(fn, batch_format=batch_format)
+
+
+# Arrow bytes per value of a parquet physical type (a string's 4 are its
+# offset; its characters are added from the chunk's statistics)
+_VALUE_WIDTH = {"BOOLEAN": 1, "INT32": 4, "FLOAT": 4, "INT64": 8,
+                "DOUBLE": 8, "INT96": 12, "BYTE_ARRAY": 4}
+
+
+def _decoded_bytes(chunk) -> float:
+    """A parquet column chunk's Arrow bytes once read, estimated from its
+    footer entry alone: the larger of its uncompressed size and one value
+    width per value, a string's width taken from its min/max statistics.
+    The uncompressed size alone understates a dictionary-encoded chunk,
+    whose data pages hold indices — up to 39× on the sf0.1 tables'
+    low-cardinality string columns — so a dictionary-encoded string chunk
+    that holds values but no min/max statistics (written without them, or
+    dropped for long values) measures as infinite and keeps the read
+    lazy."""
+    width = _VALUE_WIDTH.get(chunk.physical_type, 0)
+    if chunk.physical_type in ("BYTE_ARRAY", "FIXED_LEN_BYTE_ARRAY"):
+        stats = chunk.statistics
+        if stats is not None and stats.has_min_max:
+            width += (len(stats.min_raw) + len(stats.max_raw)) // 2
+        elif chunk.has_dictionary_page and chunk.num_values:
+            return float("inf")
+    return max(chunk.total_uncompressed_size, chunk.num_values * width)
+
+
+def read_parquet_blocks(path: str, columns: list[str] | None = None):
+    """``rd.read_parquet(path, columns=columns)``: the same columns, types
+    and rows in the same order (files sorted).  When the selected columns
+    measure at most ``DRIVER_FINAL_BYTES`` (read per call) — their Arrow
+    bytes estimated from the parquet footers (``_decoded_bytes``), nothing
+    else is read to decide — the files are read as a ``run_blocks`` pass
+    and come back as an already-materialized Dataset, one block per file:
+    no Ray Data execution starts.  Above the guard, and for a
+    hive-partitioned path (``key=value`` directories, whose columns only
+    Ray's reader adds), this is the lazy ``rd.read_parquet``."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    dataset = pq.ParquetDataset(path, partitioning=None)
+    files = [frag.path for frag in dataset.fragments]
+    if files and not any("=" in os.path.dirname(f) for f in files):
+        nbytes = 0
+        for frag in dataset.fragments:
+            md = frag.metadata
+            for i in range(md.num_row_groups):
+                rg = md.row_group(i)
+                nbytes += sum(
+                    _decoded_bytes(rg.column(j))
+                    for j in range(rg.num_columns)
+                    if columns is None or rg.column(j).path_in_schema
+                    .split(".")[0] in columns)
+        if nbytes <= DRIVER_FINAL_BYTES:
+            kw = {"columns": columns, "filesystem": dataset.filesystem}
+            return _driver_dataset(run_blocks(pq.read_table, files, kw))
+    return rd.read_parquet(path, columns=columns)
 
 
 def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
@@ -195,11 +324,14 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
     gets the bucket in ``batch_format`` without the bucket column.
 
     ``ds`` may be a list of Datasets (the sides of a join); the sides are
-    unioned and materialized, so their measured bytes decide the engine:
+    materialized — a lazy one through a union of all of them — so their
+    measured bytes decide the engine:
 
     * at or under ``driver_final_bytes`` (default ``DRIVER_FINAL_BYTES``,
       read per call): ``fn`` runs ONCE on the driver over every row in
-      block order — the ``num_buckets = 1`` case of this contract.  The
+      side and block order — the ``num_buckets = 1`` case of this
+      contract.  Sides that are all materialized already are read side by
+      side, without the union's execution.  The
       sort exchange is about 0.3 s of fixed scheduling for kilobytes of
       rows.  The result is split into min(num_buckets, cluster CPUs, rows)
       blocks without a shuffle, so downstream width stays one task per
@@ -218,13 +350,26 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
 
     Rows reach ``fn`` in the order of their blocks on either path (a stable
     sort keeps it inside a bucket)."""
-    sides = ds if isinstance(ds, (list, tuple)) else [ds]
-    data = (sides[0].union(*sides[1:]) if len(sides) > 1
-            else sides[0]).materialize()
+    sides = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    if not all(is_materialized(s) for s in sides):
+        sides = [sides[0].union(*sides[1:]) if len(sides) > 1
+                 else sides[0]]
+    sides = [materialized(s) for s in sides]
     if driver_final_bytes is None:
         driver_final_bytes = DRIVER_FINAL_BYTES
-    if (data.size_bytes() or 0) <= driver_final_bytes:
-        return _driver_map(data, num_buckets, fn, batch_format)
+    if sum(s.size_bytes() or 0 for s in sides) <= driver_final_bytes:
+        return _driver_map(sides, num_buckets, fn, batch_format)
+    data = sides[0].union(*sides[1:]).materialize() if len(sides) > 1 \
+        else sides[0]
+    refs = block_refs(data)
+    if refs and len(refs) < data.num_blocks():
+        # a map hands an empty block on as a column-less pandas frame, and
+        # one such block in the sort sends its Arrow partners through
+        # pandas: int columns holding nulls came back float64 and ``fn``
+        # got columns typed null.  The exchange reads the non-empty blocks
+        import ray.data as rd
+
+        data = rd.from_arrow_refs(refs)
 
     keys = [key] if isinstance(key, str) else list(key)
     modulus = np.uint64(num_buckets)
@@ -279,23 +424,22 @@ def _unified_schema(data) -> pa.Schema | None:
                             promote_options="permissive")
 
 
-def _driver_map(data, num_buckets: int, fn, batch_format: str):
-    """``bucket_map``'s driver finish over a MATERIALIZED Dataset: its
-    non-empty blocks in ``batch_format``, concatenated in block order, go
-    through ``fn`` once; the result comes back as an already-executed
-    Dataset of min(num_buckets, CPU slots, rows) contiguous blocks."""
+def _driver_map(sides: list, num_buckets: int, fn, batch_format: str):
+    """``bucket_map``'s driver finish over MATERIALIZED Datasets: their
+    non-empty blocks in ``batch_format``, concatenated in side and block
+    order, go through ``fn`` once; the result comes back as an
+    already-executed Dataset of min(num_buckets, CPU slots, rows)
+    contiguous blocks."""
     import ray
-    import ray.data as rd
     from ray.data.block import BlockAccessor
 
     arrow = batch_format == "pyarrow"
     parts = []
-    for block in ray.get(block_refs(data)):
+    for block in ray.get([r for side in sides for r in block_refs(side)]):
         acc = BlockAccessor.for_block(block)
         parts.append(acc.to_arrow() if arrow else acc.to_pandas())
     if not parts:
-        return (rd.from_arrow(pa.table({})) if arrow
-                else rd.from_pandas(pd.DataFrame())).materialize()
+        return _as_dataset([pa.table({}) if arrow else pd.DataFrame()])
     batch = (pa.concat_tables(parts, promote_options="permissive")
              .combine_chunks() if arrow
              else pd.concat(parts, ignore_index=True))
@@ -304,10 +448,10 @@ def _driver_map(data, num_buckets: int, fn, batch_format: str):
     n = max(1, min(num_buckets, cpu_slots(), rows))
     bounds = [i * rows // n for i in range(n + 1)]
     if isinstance(out, pa.Table):
-        return rd.from_arrow([out.slice(a, b - a) for a, b
-                              in zip(bounds, bounds[1:])]).materialize()
-    return rd.from_pandas([out.iloc[a:b].reset_index(drop=True) for a, b
-                           in zip(bounds, bounds[1:])]).materialize()
+        return _as_dataset([out.slice(a, b - a) for a, b
+                            in zip(bounds, bounds[1:])])
+    return _as_dataset([out.iloc[a:b].reset_index(drop=True) for a, b
+                        in zip(bounds, bounds[1:])])
 
 
 def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
@@ -321,13 +465,17 @@ def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
     never appears.  First row per key in global block order wins on both
     paths.  ``num_buckets=None`` derives B from the measured bytes; the
     driver path returns min(B, cluster CPUs) blocks."""
-    deduped = ds.map_batches(lambda df: df.drop_duplicates(key),
-                             batch_format="pandas").materialize()
-    if deduped.num_blocks() > 64:
+    if driver_final_bytes is None:
+        driver_final_bytes = DRIVER_FINAL_BYTES
+    deduped = materialized(map_blocks(ds, lambda df: df.drop_duplicates(key),
+                                      "pandas"))
+    if deduped.num_blocks() > 64 \
+            and (deduped.size_bytes() or 0) > driver_final_bytes:
         # second combine level: per-block distinct sets repeat hot keys once
-        # per block, so at large block counts the driver pull (and the
-        # bucket exchange above the guard) would carry blocks × distinct
-        # rows — bundle ~32 partial blocks per task and dedupe again
+        # per block, so at large block counts the bucket exchange would
+        # carry blocks × distinct rows — bundle ~32 partial blocks per task
+        # and dedupe again (within the guard the driver finish dedupes the
+        # whole set at once)
         rows_per_block = max(1, deduped.count() // deduped.num_blocks())
         deduped = deduped.map_batches(
             lambda df: df.drop_duplicates(key), batch_format="pandas",
@@ -411,7 +559,7 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
             final[out] = final["__n"]
         return final[keys + list(spec)]
 
-    partials = ds.map_batches(partial, batch_format="pandas").materialize()
+    partials = materialized(map_blocks(ds, partial, "pandas"))
     if partials.count() == 0:
         import ray.data as rd
 

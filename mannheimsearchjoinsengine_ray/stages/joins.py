@@ -35,6 +35,11 @@ in-bucket merge is ``pa.Table.join`` (Acero hash join), or for
 ``asof_join`` a sort plus Arrow ``take``, so every dtype survives and no
 restore step exists.
 
+The tag maps, the semi/anti key map and ``detect_hot_keys`` are
+``aggregates.map_blocks`` passes: over a materialized side within the
+driver guard they start no Ray Data execution, and ``bucket_map`` then
+reads the already-materialized tagged sides without a union.
+
 Null-key semantics follow SQL on every plan, salted included: a null key
 never matches (the DuckDB oracles agree).
 
@@ -47,7 +52,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregates import _TARGET_BUCKET_BYTES, auto_bucket_count, bucket_map
+from .aggregates import (
+    _TARGET_BUCKET_BYTES,
+    auto_bucket_count,
+    bucket_map,
+    map_blocks,
+    materialized,
+)
 
 # probe sides below this row count skip hot-key detection entirely
 _AUTO_SKEW_ROWS = 1_000_000
@@ -119,7 +130,7 @@ def _tag(ds, on: str, side: int, cols: list[str],
                             pa.array(np.full(rows.num_rows, s)))
             for s in range(1, salt)])
 
-    return ds.map_batches(tag, batch_format="pyarrow")
+    return map_blocks(ds, tag, "pyarrow")
 
 
 def _sides(group: pa.Table, left: list[str], right: list[str]):
@@ -159,7 +170,7 @@ def detect_hot_keys(ds, col: str, min_count: int = 100_000,
                          "n": counts.field("counts")}) \
             .sort_by([("n", "descending")]).slice(0, top_n)
 
-    partials = ds.map_batches(top, batch_format="pyarrow").to_pandas()
+    partials = map_blocks(ds, top, "pyarrow").to_pandas()
     if partials.empty:
         return set()
     totals = partials.groupby("k")["n"].sum()
@@ -187,8 +198,8 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
         # B from bytes, and skew-scan the probe side above the row threshold.
         # The schema reads below come after, so they are metadata — read
         # from a lazy side they would execute it once more under a limit
-        left_ds = left_ds.materialize()
-        right_ds = right_ds.materialize()
+        left_ds = materialized(left_ds)
+        right_ds = materialized(right_ds)
         bucket_count = auto_bucket_count(
             left_ds, right_ds, target_bucket_bytes=target_bucket_bytes)
         if salt is None:
@@ -240,15 +251,16 @@ def _bucket_semi_anti(left_ds, right_ds, left_on: str, right_on: str,
     if bucket_count is None:
         # materialized first: the schema reads are then metadata, not a
         # limit-1 execution of a lazy side
-        left_ds = left_ds.materialize()
+        left_ds = materialized(left_ds)
         bucket_count = auto_bucket_count(left_ds)
     left_cols = _schema_names(left_ds)
     types = _arrow_types(left_ds)
     l2 = _tag(left_ds, left_on, 0, left_cols, types)
-    keys = right_ds.map_batches(
+    keys = map_blocks(
+        right_ds,
         lambda tbl: pa.table({right_on: pc.unique(
             tbl.column(right_on).combine_chunks())}),
-        batch_format="pyarrow")
+        "pyarrow")
     r2 = _tag(keys, right_on, 1, left_cols, types)
     jt = "left semi" if keep_matched else "left anti"
 
@@ -309,8 +321,8 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
     if bucket_count is None:
         # materialized first: the schema reads are then metadata, not a
         # limit-1 execution of a lazy side
-        left_ds = left_ds.materialize()
-        right_ds = right_ds.materialize()
+        left_ds = materialized(left_ds)
+        right_ds = materialized(right_ds)
         bucket_count = auto_bucket_count(left_ds, right_ds)
     left_cols = _schema_names(left_ds)
     right_cols = _schema_names(right_ds)

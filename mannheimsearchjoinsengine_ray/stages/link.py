@@ -31,6 +31,7 @@ from ..state.index import (
     LabelIndex,
     _ranges,
     has_attr_tokens,
+    index_stamp,
     rank_keys,
     score_gaps,
     top_hits,
@@ -205,14 +206,16 @@ RESOLVED_SCHEMA = pa.schema([
 ])
 
 # per-WORKER-process caches (Ray reuses worker processes across tasks):
-# linker cores keyed by params, broadcast resolved tables keyed by ObjectRef
+# linker cores keyed by params and the index's build stamp, broadcast
+# resolved tables keyed by ObjectRef
 _WORKER_CORES: dict[tuple, "LinkerActor"] = {}
 _WORKER_STATES: dict[str, pa.Table] = {}
 
 
 def _core_for(index_dir: str, top_k: int, max_edit: int, fuzzy: bool,
               refine_factor: float) -> "LinkerActor":
-    key = (index_dir, top_k, max_edit, fuzzy, refine_factor)
+    key = (index_dir, index_stamp(index_dir), top_k, max_edit, fuzzy,
+           refine_factor)
     core = _WORKER_CORES.get(key)
     if core is None:
         if len(_WORKER_CORES) > 8:
@@ -366,8 +369,9 @@ _WORKER_SHARD_IDX: dict[tuple, "LabelIndex"] = {}
 
 def _shard_index_for(index_dir: str, shard: int) -> "LabelIndex":
     """Per-worker cache of shard-scoped indexes (a worker typically serves a
-    few shards over its lifetime; each holds 1/N of the index)."""
-    key = (index_dir, shard)
+    few shards over its lifetime; each holds 1/N of the index), keyed by
+    path, build stamp and shard."""
+    key = (index_dir, index_stamp(index_dir), shard)
     idx = _WORKER_SHARD_IDX.get(key)
     if idx is None:
         from ..state.index import vocab_stats_for

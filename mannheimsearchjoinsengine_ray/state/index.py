@@ -394,17 +394,32 @@ class VocabStats:
         return bool(self.contains_many([token])[0])
 
 
-_VOCAB_CACHE: dict[str, VocabStats] = {}
+def index_stamp(index_dir: str) -> tuple | None:
+    """The build stamp of ``index_dir``: its ``_meta.json``'s (st_mtime_ns,
+    st_ino), None for a pre-meta index.  A build writes the file by atomic
+    rename, so a rebuild at the same path gets a new inode.  Per-process
+    caches of a loaded index key on it next to the path, or an index
+    rebuilt in place would be served stale."""
+    try:
+        st = os.stat(os.path.join(index_dir, _META_FILE))
+    except OSError:
+        return None
+    return st.st_mtime_ns, st.st_ino
+
+
+_VOCAB_CACHE: dict[tuple, VocabStats] = {}
 
 
 def vocab_stats_for(index_dir: str) -> VocabStats:
-    """Per-process VocabStats cache (Ray reuses worker processes)."""
-    v = _VOCAB_CACHE.get(index_dir)
+    """Per-process VocabStats cache (Ray reuses worker processes), keyed by
+    path and build stamp."""
+    key = (index_dir, index_stamp(index_dir))
+    v = _VOCAB_CACHE.get(key)
     if v is None:
         if len(_VOCAB_CACHE) > 4:
             _VOCAB_CACHE.clear()
         v = VocabStats(index_dir)
-        _VOCAB_CACHE[index_dir] = v
+        _VOCAB_CACHE[key] = v
     return v
 
 

@@ -772,6 +772,52 @@ def test_link_mentions_shard_routed_equivalence_exchange(ray_session,
     test_link_mentions_shard_routed_equivalence(ray_session, tmp_path)
 
 
+def test_index_caches_follow_a_rebuild(ray_session, tmp_path):
+    """An index rebuilt at the same path is loaded anew in the same process:
+    the per-process caches (``link._WORKER_CORES``,
+    ``link._WORKER_SHARD_IDX``, ``index._VOCAB_CACHE``) key on the build
+    stamp of ``_meta.json``, not on the path alone."""
+    import ray.data as rd
+
+    d = str(tmp_path / "idx_rebuilt")
+    mention = pa.table({"mention": ["green temple 450"]})
+    mentions = mention.column("mention").combine_chunks()
+
+    def build(n):
+        IX.build_index(rd.from_arrow(pa.table(P.make_gazetteer(n))), d,
+                       num_shards=4)
+
+    def cached():
+        return (L.resolve_mentions_batch(mention, d, 5, 1, True, 0.0),
+                [L.score_shard_batch(mention, d, s, True, 1)
+                 for s in IX.index_meta(d)["shards"]])
+
+    def fresh():
+        vocab = IX.VocabStats(d)
+        shards = []
+        for s in IX.index_meta(d)["shards"]:
+            idx = IX.LabelIndex(d, shards=[s], vocab=vocab)
+            moffs, eids, scores = idx.score_many(["green temple 450"],
+                                                 fuzzy=True, max_edit=1)
+            shards.append((idx.entries_uri.take(pa.array(eids)).to_pylist(),
+                           scores.tolist()))
+        return (L._resolve_on(IX.LabelIndex(d), mentions, 5, True, 1),
+                shards)
+
+    def same(got, want):
+        assert got[0].equals(want[0])
+        assert [(t.column("uri").to_pylist(), t.column("score").to_pylist())
+                for t in got[1]] == want[1]
+
+    build(500)
+    before = cached()
+    same(before, fresh())
+    build(100)
+    after, want = cached(), fresh()
+    assert not want[0].equals(before[0])    # the rebuild changes the answer
+    same(after, want)
+
+
 def test_distinct_mentions_from_tables_matches_mention_map(ray_session):
     """distinct_mentions(tables, from_tables=True) must emit EXACTLY the
     distinct mention strings of the full mention map — each ONCE.  The
