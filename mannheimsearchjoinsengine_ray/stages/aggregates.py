@@ -207,7 +207,7 @@ def run_blocks(fn, items, fn_kwargs: dict | None = None,
     return out
 
 
-def _driver_dataset(blocks: list):
+def driver_dataset(blocks: list):
     """Blocks held by the driver → an already-materialized Dataset, one
     block each.  ``from_blocks`` reads each block's metadata in-process;
     ``from_arrow``/``from_pandas`` run one Ray task per block for it, a
@@ -234,8 +234,8 @@ def _as_dataset(batches: list):
     kept = [b for b in blocks if BlockAccessor.for_block(b).num_rows()] \
         or blocks[:1]
     if all(isinstance(b, pd.DataFrame) for b in kept):
-        return _driver_dataset(kept)
-    return _driver_dataset([BlockAccessor.for_block(b).to_arrow()
+        return driver_dataset(kept)
+    return driver_dataset([BlockAccessor.for_block(b).to_arrow()
                             for b in kept])
 
 
@@ -311,7 +311,7 @@ def read_parquet_blocks(path: str, columns: list[str] | None = None):
                     .split(".")[0] in columns)
         if nbytes <= DRIVER_FINAL_BYTES:
             kw = {"columns": columns, "filesystem": dataset.filesystem}
-            return _driver_dataset(run_blocks(pq.read_table, files, kw))
+            return driver_dataset(run_blocks(pq.read_table, files, kw))
     return rd.read_parquet(path, columns=columns)
 
 
@@ -487,6 +487,27 @@ def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
                       driver_final_bytes=driver_final_bytes)
 
 
+def _extreme(df: pd.DataFrame, g, col: str, how: str) -> pd.Series:
+    """``g[col].min()`` or ``.max()`` (``how``) over ``df``'s groupby ``g``.
+    An object column (strings) takes one sort by (group, value) and the
+    first row per group instead of pandas' per-group Python fallback, one
+    ``Series.min`` call per group (2.6k rows in 2,156 groups on one core:
+    4 ms against 76 ms), which also raises on a null beside a string.
+    Nulls are skipped, an all-null group gives NaN as in pandas, and the
+    result carries ``g``'s group index (null keys included)."""
+    if df[col].dtype != object:
+        return getattr(g[col], how)()
+    size = g.size()
+    keep = df[col].notna().to_numpy()
+    rows = pd.DataFrame({"g": g.ngroup().to_numpy()[keep],
+                         "v": df[col].to_numpy()[keep]})
+    first = rows.sort_values(["g", "v"], ascending=[True, how == "min"]) \
+        .drop_duplicates("g")
+    out = np.full(len(size), np.nan, dtype=object)
+    out[first["g"].to_numpy()] = first["v"].to_numpy()
+    return pd.Series(out, index=size.index, name=col)
+
+
 def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
                   driver_final_bytes: int | None = None):
     """spec: output_name -> (input_column | None, fn); fn ∈ {sum,count,min,max,mean}.
@@ -528,9 +549,9 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
         for out, col in sum_cols.items():
             parts[out] = g[col].sum()
         for out, col in min_cols.items():
-            parts[out] = g[col].min()
+            parts[out] = _extreme(df, g, col, "min")
         for out, col in max_cols.items():
-            parts[out] = g[col].max()
+            parts[out] = _extreme(df, g, col, "max")
         for out, col in mean_cols.items():
             parts[f"__sum_{out}"] = g[col].sum()
         if need_count:
@@ -545,9 +566,9 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
         for out in sum_cols:
             parts[out] = g[out].sum()
         for out in min_cols:
-            parts[out] = g[out].min()
+            parts[out] = _extreme(pdf, g, out, "min")
         for out in max_cols:
-            parts[out] = g[out].max()
+            parts[out] = _extreme(pdf, g, out, "max")
         for out in mean_cols:
             parts[f"__sum_{out}"] = g[f"__sum_{out}"].sum()
         if need_count:

@@ -36,11 +36,13 @@ from ..state.index import (
     score_gaps,
     top_hits,
 )
+from . import aggregates
 from .aggregates import (
     block_refs,
     bucket_map,
     dedupe_by_key,
     is_materialized,
+    materialized,
     run_blocks,
 )
 
@@ -321,9 +323,6 @@ def distinct_mentions(source_ds, from_tables: bool = False):
     ``bucket_map``; a lazy one keeps the map fused with its upstream."""
     import ray.data as rd
 
-    # looked up per call: tests monkeypatch aggregates.cpu_slots
-    from .aggregates import cpu_slots
-
     fn = distinct_mentions_from_tables_batch if from_tables \
         else _unique_mentions_batch
     # the bucket count doubles as the output block count (one block per
@@ -331,7 +330,7 @@ def distinct_mentions(source_ds, from_tables: bool = False):
     # exchange: a fixed count would cap it on a big cluster, and more blocks
     # than slots only add task launches (at one CPU the kg_crawl resolve
     # took 0.39-0.72 s over 8 blocks, 0.18-0.22 s over one; BASELINE.md #51)
-    n_blocks = cpu_slots()
+    n_blocks = aggregates.cpu_slots()
     if not is_materialized(source_ds):
         part = source_ds.map_batches(fn, batch_format="pyarrow")
         return dedupe_by_key(part, "mention", num_buckets=n_blocks)
@@ -453,28 +452,75 @@ def _gather_resolved_group(group: pa.Table, top_k: int) -> pa.Table:
          "cand_attrs": attrs})
 
 
-def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
-                             max_edit: int, fuzzy: bool, shards: list[int]):
-    """DISTINCT mentions → resolved rows via shard scatter-gather: one
-    scoring map per live shard (each task holds 1/N of the index), one
-    hash(mention) bucket exchange of the candidate partials, per-mention
-    finalize in the buckets.  Exchange width = distinct mentions × their
-    candidate counts — the same magnitude the replicated path already
-    materializes as its resolved table."""
+def _slices_per_shard(shards: list[int]) -> int:
+    """ceil(W / S) for W CPU slots and S shards: the distinct set's slices
+    per shard in the scatter's (shard × slice) grid.
+
+    SHARD-MAJOR scatter: every (shard, slice) task pays a shard-index load
+    if its worker hasn't served that shard yet — so the distinct set is cut
+    into ceil(W / S) slices, making tasks-per-shard ≈ workers-per-shard ≈ 1
+    at cluster width (each shard loads ~once cluster-wide).  A
+    mention-major grid (S × 2W tasks) measured 25× slower: every worker
+    cycled through every shard."""
+    return -(-aggregates.cpu_slots() // max(1, len(shards)))
+
+
+def _score_shard_slice(item: tuple, mentions: pa.Table, budget: int,
+                       **kw) -> pa.Table | None:
+    """One (shard, row range) item of the resolve pass: ``score_shard_batch``
+    over that slice of the distinct mentions, or None when the partial
+    measures over ``budget`` bytes.  The partial holds every candidate that
+    shares a token with a mention, not a top-k, so the input bytes do not
+    bound it: the pass measures what it would send to the driver."""
+    shard, lo, hi = item
+    part = score_shard_batch(mentions.slice(lo, hi - lo), shard=shard, **kw)
+    return part if part.nbytes <= budget else None
+
+
+def _scored_in_passes(distinct_ds, shards: list[int], kw: dict):
+    """The shard scatter as one ``run_blocks`` pass over the distinct set,
+    when it is materialized and measures at most ``DRIVER_FINAL_BYTES``:
+    [the markers, then each shard's partials in shard order] as one
+    already-materialized Dataset, whose bytes stay within the same guard.
+    None when the set is lazy or larger, or when some item's partial
+    overflows its share of the guard."""
     import ray
+    from ray.data.block import BlockAccessor
 
-    kw = dict(index_dir=index_dir, fuzzy=fuzzy, max_edit=max_edit)
-    # SHARD-MAJOR scatter: the grid is (shard × distinct-block) tasks, and
-    # every task pays a shard-index load if its worker hasn't served that
-    # shard yet — so the distinct set is coalesced to ceil(W / S) blocks,
-    # making tasks-per-shard ≈ workers-per-shard ≈ 1 at cluster width (each
-    # shard loads ~once cluster-wide).  A mention-major grid (S × 2W tasks)
-    # measured 25× slower: every worker cycled through every shard.
-    import ray as _ray
+    if not is_materialized(distinct_ds):
+        return None
+    data = materialized(distinct_ds)
+    if (data.size_bytes() or 0) > aggregates.DRIVER_FINAL_BYTES:
+        return None
+    # the blocks are pandas, out of ``dedupe_by_key``
+    schema = pa.schema([("mention", pa.string())])
+    mentions = pa.concat_tables(
+        [BlockAccessor.for_block(b).to_arrow().select(["mention"]).cast(schema)
+         for b in ray.get(block_refs(data))] or [schema.empty_table()]) \
+        .combine_chunks()
+    markers = _marker_batch(mentions)
+    # shard-major items, so the round-robin deal of ``run_blocks`` gives a
+    # task about one shard
+    slices = _slices_per_shard(shards)
+    n = mentions.num_rows
+    bounds = [i * n // slices for i in range(slices + 1)]
+    items = [(s, lo, hi) for s in shards
+             for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    budget = max(0, aggregates.DRIVER_FINAL_BYTES - markers.nbytes) \
+        // max(1, len(items))
+    parts = run_blocks(_score_shard_slice, items,
+                       dict(kw, mentions=mentions, budget=budget))
+    if any(p is None for p in parts):
+        return None
+    return aggregates.driver_dataset([markers] + parts)
 
-    ncpu = max(1, int(_ray.cluster_resources().get("CPU", 4)))
-    per_shard_blocks = max(1, -(-ncpu // max(1, len(shards))))
-    scatter_src = distinct_ds.repartition(per_shard_blocks).materialize()
+
+def _scored_by_scatter(distinct_ds, shards: list[int], kw: dict) -> list:
+    """The shard scatter as Ray Data maps over the distinct set
+    repartitioned to ``_slices_per_shard`` blocks: [the markers, then one
+    scoring map per shard], lazy."""
+    scatter_src = distinct_ds.repartition(_slices_per_shard(shards)) \
+        .materialize()
     parts = [scatter_src.map_batches(score_shard_batch,
                                      fn_kwargs=dict(shard=s, **kw),
                                      batch_format="pyarrow",
@@ -483,8 +529,39 @@ def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
     markers = scatter_src.map_batches(_marker_batch,
                                       batch_format="pyarrow",
                                       batch_size=None)
-    num_buckets = max(32, int(ray.cluster_resources().get("CPU", 4)) * 2)
-    return bucket_map([markers] + parts, "mention", num_buckets,
+    return [markers] + parts
+
+
+def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
+                             max_edit: int, fuzzy: bool, shards: list[int]):
+    """DISTINCT mentions → resolved rows via shard scatter-gather: every
+    live shard scores every distinct mention (each scoring call holds 1/N
+    of the index), one hash(mention) ``bucket_map`` gathers the candidate
+    partials, and each bucket finalizes its mentions.  Exchange width =
+    distinct mentions × their candidate counts — the same magnitude the
+    replicated path already materializes as its resolved table.
+
+    The scatter runs one of two ways:
+
+    * a materialized distinct set within ``DRIVER_FINAL_BYTES`` is scored
+      in one ``run_blocks`` pass (``_scored_in_passes``): no Ray Data
+      execution, and each item returns its partial only while it fits its
+      share of the same guard, so the gather input — and the driver —
+      never holds more;
+    * a lazy or larger set, or a pass whose partials overflow, takes the
+      ``repartition`` and the union of Ray Data maps
+      (``_scored_by_scatter``).
+
+    The pass hands the gather the markers first, then the shards in order,
+    so each mention's candidate list is in shard order; the union hands
+    them over as its maps finish.  The edges are the same either way: the
+    top-k and the context re-score order candidates by (score, uri,
+    name)."""
+    kw = dict(index_dir=index_dir, fuzzy=fuzzy, max_edit=max_edit)
+    scored = _scored_in_passes(distinct_ds, shards, kw)
+    if scored is None:
+        scored = _scored_by_scatter(distinct_ds, shards, kw)
+    return bucket_map(scored, "mention", link_merge_buckets(),
                       lambda g: _gather_resolved_group(g, top_k),
                       batch_format="pyarrow")
 
@@ -907,10 +984,9 @@ def link_mentions(mentions_ds, index_dir: str,
 
 
 def link_merge_buckets() -> int:
-    """Bucket count of the co-partitioned merge (``_link_merge_join``)."""
-    import ray
-
-    return max(32, int(ray.cluster_resources().get("CPU", 4)) * 2)
+    """Bucket count of the shard gather and the co-partitioned merge
+    (``_link_merge_join``)."""
+    return max(32, aggregates.cpu_slots() * 2)
 
 
 def link_merge_plan(distinct_ds, index_dir: str,
@@ -958,7 +1034,7 @@ def link_merge_plan(distinct_ds, index_dir: str,
         raise ValueError(
             f"link_shard_route=True needs a sharded index with _meta.json "
             f"under {index_dir} (rebuild with build_index)")
-    distinct = distinct_ds.materialize()
+    distinct = materialized(distinct_ds)
     mkw = dict(kw, payload_mode=bool(sharded))
     use_bucket = distinct.count() > cfg.link_broadcast_limit
     if not (sharded or use_bucket):
@@ -979,7 +1055,7 @@ def link_merge_plan(distinct_ds, index_dir: str,
             # resolve ONCE: to_arrow_refs() on the lazy Dataset would run
             # the resolve a second time (under a limit-1 plan) just to
             # fetch the schema
-            resolved = resolved.materialize()
+            resolved = materialized(resolved)
             # payload-carrying resolved rows are ~100× heavier than eid
             # rows (measured 143 MB for 13k distinct mentions at a
             # 200k-entity KB) — byte-guard the broadcast the same way every

@@ -703,14 +703,10 @@ def test_shard_routed_index_exact_scores(ray_session, tmp_path):
     assert full.search_scored(remote_only, fuzzy=True)
 
 
-def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path):
-    """Shard-routed resolve (scatter-gather over entity shards) must emit
-    IDENTICAL edges to the replicated-index path, through both the
-    broadcast merge and the co-partitioned bucket merge — including fuzzy,
-    unicode, zero-candidate mentions and context-gated rows (round-4
-    verdict task 1's done-gate)."""
-    import dataclasses
-
+def _routed_case(tmp_path):
+    """(a 4-shard index over the 60-entity gazetteer, a lazy 6-block mention
+    Dataset over it): fuzzy, unicode, zero-candidate and context-gated
+    mentions, each repeated 8 times."""
     import ray.data as rd
 
     d = str(tmp_path / "idx_route")
@@ -730,12 +726,26 @@ def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path):
         rows["context"].append("red\x1f42" if i % 3 == 0 else "")
     ds = rd.from_arrow(pa.Table.from_pydict(
         rows, schema=L.MENTION_SCHEMA)).repartition(6)
+    return d, ds
 
-    def norm(df):
-        df = df.copy()
-        df["score"] = df["score"].round(9)  # the canonical ranking rounding
-        return df.sort_values(["url", "row_idx", "rank", "entity_uri"]) \
-            .reset_index(drop=True)
+
+def _norm_edges(df):
+    df = df.copy()
+    df["score"] = df["score"].round(9)  # the canonical ranking rounding
+    return df.sort_values(["url", "row_idx", "rank", "entity_uri"]) \
+        .reset_index(drop=True)
+
+
+def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path):
+    """Shard-routed resolve (scatter-gather over entity shards) must emit
+    IDENTICAL edges to the replicated-index path, through both the
+    broadcast merge and the co-partitioned bucket merge — including fuzzy,
+    unicode, zero-candidate mentions and context-gated rows (round-4
+    verdict task 1's done-gate)."""
+    import dataclasses
+
+    d, ds = _routed_case(tmp_path)
+    norm = _norm_edges
 
     cfg = PipelineConfig(refine_attrs_factor=0.3)
     a = norm(L.link_mentions(ds, d, cfg).to_pandas())
@@ -770,6 +780,96 @@ def test_link_mentions_shard_routed_equivalence_exchange(ray_session,
     """The same equivalence with the shard gather, the co-partitioned
     merge and the distinct-mentions dedupe on their sort exchanges."""
     test_link_mentions_shard_routed_equivalence(ray_session, tmp_path)
+
+
+def _shard_routed_run(ds, d, cfg, monkeypatch):
+    """A shard-routed ``link_mentions`` → (its normalized edges, the Ray
+    Data executions it started, its ``run_blocks`` passes)."""
+    import dataclasses
+
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from mannheimsearchjoinsengine_ray.stages import aggregates
+
+    count = [0]
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        count[0] += 1
+        return real_execute(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(StreamingExecutor, "execute", execute)
+        with aggregates.record_passes() as passes:
+            edges = L.link_mentions(
+                ds, d, dataclasses.replace(cfg, link_shard_route=True)) \
+                .to_pandas()
+    return _norm_edges(edges), count[0], passes
+
+
+def _check_resolve_pass(tmp_path, monkeypatch, tasks: int):
+    d, ds = _routed_case(tmp_path)
+    cfg = PipelineConfig(refine_attrs_factor=0.3)
+    want = _norm_edges(L.link_mentions(ds, d, cfg).to_pandas())
+    got, executions, passes = _shard_routed_run(ds, d, cfg, monkeypatch)
+    # the distinct map and the merge map, both over the lazy mention input
+    assert executions == 2
+    assert passes == [{"site": "_score_shard_slice", "items": 4,
+                       "tasks": tasks}]
+    pd.testing.assert_frame_equal(want, got)
+
+
+def test_link_mentions_shard_routed_two_executions(ray_session, in_process,
+                                                   tmp_path, monkeypatch):
+    """A shard-routed ``link_mentions`` over a lazy mention input starts 2
+    Ray Data executions: the distinct set is already materialized, so the
+    shard scatter is one in-process ``run_blocks`` pass (4 shards × 1 slice
+    at one CPU slot) and the gather finishes on the driver.  Its edges
+    equal the replicated path's."""
+    _check_resolve_pass(tmp_path, monkeypatch, tasks=0)
+
+
+def test_link_mentions_shard_routed_two_executions_tasks(ray_session,
+                                                         tmp_path,
+                                                         monkeypatch):
+    """The same at the session's 4 CPU slots, where the pass runs its 4
+    items as 4 Ray tasks, one shard each."""
+    _check_resolve_pass(tmp_path, monkeypatch, tasks=4)
+
+
+def test_link_mentions_shard_routed_overflow_falls_back(ray_session,
+                                                        in_process, tmp_path,
+                                                        monkeypatch):
+    """A pass item whose partial measures over its share of
+    ``DRIVER_FINAL_BYTES`` sends the resolve to the ``repartition`` and
+    union scatter (4 executions), with the replicated path's edges.  The
+    guard is set between the gather input's bytes (so the distinct set,
+    the dedupe and the gather still fit it) and 4 × the largest shard's
+    partial (so that partial overflows a quarter of the guard)."""
+    from mannheimsearchjoinsengine_ray.stages import aggregates
+
+    d, ds = _routed_case(tmp_path)
+    cfg = PipelineConfig(refine_attrs_factor=0.3)
+    want = _norm_edges(L.link_mentions(ds, d, cfg).to_pandas())
+    distinct = L.distinct_mentions(ds)
+    mentions = pa.Table.from_pandas(distinct.to_pandas()[["mention"]],
+                                    preserve_index=False)
+    markers = L._marker_batch(mentions).nbytes
+    parts = [L.score_shard_batch(mentions, d, int(s), True,
+                                 cfg.max_edit_distance).nbytes
+             for s in IX.index_meta(d)["shards"]]
+    guard = markers + (sum(parts) + len(parts) * max(parts)) // 2
+    assert distinct.size_bytes() <= guard
+    assert markers + sum(parts) < guard
+    assert (guard - markers) // len(parts) < max(parts)
+    monkeypatch.setattr(aggregates, "DRIVER_FINAL_BYTES", guard)
+    got, executions, passes = _shard_routed_run(ds, d, cfg, monkeypatch)
+    # distinct map, repartition, union of the scoring maps, merge map
+    assert executions == 4
+    assert [p["site"] for p in passes] == ["_score_shard_slice"]
+    pd.testing.assert_frame_equal(want, got)
 
 
 def test_index_caches_follow_a_rebuild(ray_session, tmp_path):

@@ -120,6 +120,35 @@ def test_two_phase_agg_bucket_final_matches_pandas(ray_session, rng):
     pd.testing.assert_frame_equal(key(got), key(drv), atol=1e-9, rtol=0)
 
 
+@pytest.mark.parametrize("driver_final_bytes", [None, 0])
+def test_two_phase_agg_string_min_max(ray_session, rng, driver_final_bytes):
+    """min/max over a string column, on the driver finish and on the bucket
+    final: nulls are skipped, an all-null group gives null, and a null key
+    is a group of its own."""
+    import ray.data as rd
+
+    n = 1500
+    t = rng.choice(["pear", "apple", "fig", "kiwi", "date"], n).astype(object)
+    t[rng.random(n) < 0.3] = None
+    g = rng.integers(0, 120, n).astype(str).astype(object)
+    g[rng.random(n) < 0.05] = None
+    t[g == "7"] = None
+    df = pd.DataFrame({"g": g, "t": t})
+    want: dict = {}
+    for k, v in zip(g, t):
+        lo, hi, c = want.get(k, (None, None, 0))
+        if v is not None:
+            lo, hi = (v, v) if lo is None else (min(lo, v), max(hi, v))
+        want[k] = (lo, hi, c + 1)
+    assert want["7"][:2] == (None, None) and None in want
+    got = _norm(two_phase_agg(
+        rd.from_pandas(df).repartition(6), ["g"],
+        {"lo": ("t", "min"), "hi": ("t", "max"), "n": (None, "count")},
+        driver_final_bytes=driver_final_bytes).to_pandas())
+    assert {r.g: (r.lo, r.hi, r.n) for r in got.itertuples()} == want
+    assert len(got) == len(want)
+
+
 def test_dedupe_by_key_matches_pandas(ray_session, rng):
     import ray.data as rd
 
