@@ -23,7 +23,12 @@ fragments / page-id ranges); each shard runs the full flow and commits its
 output under ``out/shard=S/part=P`` plus a shard manifest written atomically
 after the data.  A killed run resumes by listing shard manifests and skipping
 completed shards — no re-extraction, no re-write.  Within a shard, triples are
-hash-partitioned by subject and sorted by (subj, pred).
+hash-partitioned by subject and sorted by (subj, pred).  The label index
+(phase 0) and the final output (phase 2) commit the same way.  ``run_full``'s
+``fs`` routes every OUTPUT read and write — index, runs, side files,
+partitions, manifests — through a ``pyarrow.fs.FileSystem`` (shared or
+object storage); ``None`` is the POSIX fast path (``state/fsio.py``).  The
+input corpus stays a driver-local / Ray-readable path.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ from ..stages import materialize as mat
 from ..stages.aggregates import block_refs, record_passes, run_blocks
 from ..stages.extract import TableExtractor, extract_text_batch
 from ..stages.triples import triples_from_tables_batch
+from ..state import fsio
+
+# a stage-A partition above this many rows merges as several key ranges
+# (``_merge_runs``)
+PART_SPLIT_ROWS = 4_000_000
 
 
 def read_pages(path, columns: list[str] | None = None):
@@ -93,7 +103,7 @@ def extract_text_ds(pages_path: str):
 def materialize_triples(triples, out_dir: str,
                         num_partitions: int = 16,
                         fingerprint: str = "",
-                        run_compression: str | None = None,
+                        run_compression: str = "uncompressed",
                         split_rows: int | None = None,
                         fs=None) -> list[dict]:
     """Write triples into hash(subj) partitions, sorted, atomic, manifested.
@@ -135,7 +145,7 @@ def materialize_triples(triples, out_dir: str,
 
     Head-entity skew (dbpedia/schema.org-style subjects, SURVEY §4): a
     partition whose stage-A total exceeds ``split_rows`` (default
-    ``GRAFT_PART_SPLIT_ROWS`` or 4M) is NOT sorted as one unit.  Its merge
+    ``PART_SPLIT_ROWS``, 4M) is NOT sorted as one unit.  Its merge
     splits into ceil(total/split_rows) key ranges, dealt to different merge
     tasks: boundaries come from per-run key samples ((subj, pred, obj)
     quantiles — the obj tiebreaker lets one head subject span sub-files
@@ -150,9 +160,6 @@ def materialize_triples(triples, out_dir: str,
     memory-mapped IPC reads); see ``state/fsio.py``.  pyarrow filesystems
     pickle, so the split/merge task closures carry it.
     """
-    if run_compression is None:
-        run_compression = os.environ.get("GRAFT_RUN_COMPRESSION",
-                                         "uncompressed")
     runs_dir = _fresh_runs_dir(out_dir, fs)
     # batch_size=None: one split task per upstream block (a row-count target
     # bundles blocks and caps the stage's parallelism)
@@ -164,8 +171,6 @@ def materialize_triples(triples, out_dir: str,
 
 def _fresh_runs_dir(out_dir: str, fs=None) -> str:
     """An empty ``out_dir/_runs`` for stage A (a killed run's runs go)."""
-    from ..state import fsio
-
     runs_dir = os.path.join(out_dir, "_runs")
     fsio.rmtree(fs, runs_dir)
     fsio.makedirs(fs, runs_dir)
@@ -180,8 +185,6 @@ def _run_splitter(runs_dir: str, num_partitions: int, run_compression: str,
     holds.  The rows are the commit record stage B reads."""
     import json as _json
     import uuid
-
-    from ..state import fsio
 
     def split_write(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -234,8 +237,6 @@ def _read_part_batch(path: str, p: int, fs=None) -> pa.Table | None:
     the run holds no rows of ``p``)."""
     import json as _json
 
-    from ..state import fsio
-
     with fsio.open_input(fs, path) as src:
         rdr = pa.ipc.open_file(src)
         i = _json.loads(rdr.schema.metadata[b"parts"]).get(str(p))
@@ -265,8 +266,6 @@ def _merge_unit(rec: dict, out_dir: str, fingerprint: str, fs=None) -> dict:
     partition into its staging dir, for the driver to commit.  Returns
     the row's commit record."""
     import pyarrow.compute as pc
-
-    from ..state import fsio
 
     p, sub = int(rec["p"]), int(rec["sub"])
     table = pa.concat_tables([t for t in (_read_part_batch(f, p, fs)
@@ -303,8 +302,6 @@ def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
                 fs=None) -> list[dict]:
     """Stage B of :func:`materialize_triples`: merge the reported runs of
     each partition, commit the partitions and remove ``runs_dir``."""
-    from ..state import fsio
-
     # the COMMIT record is the task RESULT, not the filesystem: a task
     # retried after its rename completed (worker lost between rename and
     # result delivery) leaves an orphan file whose run_id never reaches
@@ -326,7 +323,7 @@ def _merge_runs(counts: list[dict], out_dir: str, runs_dir: str,
               n_runs * len(live_parts))
 
     if split_rows is None:
-        split_rows = int(os.environ.get("GRAFT_PART_SPLIT_ROWS", 4_000_000))
+        split_rows = PART_SPLIT_ROWS
 
     # --- plan range boundaries for skewed partitions ---
     heavy = {p: part_rows[p] for p in live_parts if part_rows[p] > split_rows}
@@ -429,19 +426,7 @@ def _shard_manifest_path(out_dir: str, shard: int) -> str:
 
 
 def completed_shards(out_dir: str, fs=None) -> set[int]:
-    from ..state import fsio
-
-    if not fsio.isdir(fs, out_dir):
-        return set()
-    done = set()
-    for f in fsio.listdir(fs, out_dir):
-        if f.startswith("shard_manifest_") and f.endswith(".json"):
-            m = fsio.read_json(fs, os.path.join(out_dir, f))
-            try:
-                done.add(int(m["shard"]))
-            except (TypeError, ValueError, KeyError):
-                continue
-    return done
+    return mat.manifest_ids(out_dir, "shard_manifest_", "shard", fs)
 
 
 def list_page_fragments(pages_path: str) -> list[str]:
@@ -453,60 +438,6 @@ def list_page_fragments(pages_path: str) -> list[str]:
     )
 
 
-def run_resumable(pages_path: str, out_dir: str,
-                  cfg: PipelineConfig = DEFAULT_CONFIG,
-                  num_shards: int | None = None,
-                  partitions_per_shard: int = 4,
-                  fail_after_shards: int | None = None,
-                  fs=None) -> dict:
-    """Sharded, resumable end-to-end run.  ``fail_after_shards`` injects a
-    crash for the resume test (FIXTURES F8).  ``fs`` routes all OUTPUT I/O
-    (partitions, runs, manifests) through a ``pyarrow.fs.FileSystem``; the
-    INPUT corpus stays a driver-local/Ray-readable path."""
-    from ..state import fsio
-
-    fsio.makedirs(fs, out_dir)
-    frags = list_page_fragments(pages_path)
-    if num_shards is None:
-        num_shards = len(frags)
-    # round-robin fragments into shards
-    shards: list[list[str]] = [[] for _ in range(num_shards)]
-    for i, f in enumerate(frags):
-        shards[i % num_shards].append(f)
-
-    done = completed_shards(out_dir, fs=fs)
-    metrics = {"shards_total": num_shards, "shards_skipped": len(done),
-               "shards_run": 0, "rows_written": 0}
-    t0 = time.time()
-    ran = 0
-    for si, frag_group in enumerate(shards):
-        if si in done or not frag_group:
-            continue
-        shard_dir = os.path.join(out_dir, f"shard={si:05d}")
-        triples = pages_to_triples(frag_group, cfg)
-        part_stats = materialize_triples(
-            triples, shard_dir, num_partitions=partitions_per_shard,
-            fingerprint=";".join(os.path.basename(f) for f in frag_group),
-            fs=fs,
-        )
-        rows = sum(m["rows"] for m in part_stats)
-        manifest = {
-            "shard": si,
-            "fragments": [os.path.basename(f) for f in frag_group],
-            "partitions": len(part_stats),
-            "rows": rows,
-            "completed_at": time.time(),
-        }
-        fsio.write_json_atomic(fs, _shard_manifest_path(out_dir, si), manifest)
-        metrics["shards_run"] += 1
-        metrics["rows_written"] += rows
-        ran += 1
-        if fail_after_shards is not None and ran >= fail_after_shards:
-            raise RuntimeError(f"injected failure after {ran} shards")
-    metrics["wall_sec"] = time.time() - t0
-    return metrics
-
-
 # one result row per (run, partition) written by the split (``file`` null)
 # and per side-output file written (``partition``/``run_id`` null; ``file``
 # is relative to the shard directory): the commit record of a shard pass
@@ -515,14 +446,12 @@ _SHARD_PASS_SCHEMA = pa.schema([("partition", pa.int64()), ("rows", pa.int64()),
 _SIDE_DIRS = ("edges", "labels")
 
 
-def _side_files(sides: list[tuple[str, pa.Table]],
-                shard_dir: str) -> pa.Table:
+def _side_files(sides: list[tuple[str, pa.Table]], shard_dir: str,
+                fs=None) -> pa.Table:
     """Write each non-empty side table as ONE parquet file
     ``shard_dir/<dir>/part-<uuid>.parquet`` (tmp + rename) → one
     ``_SHARD_PASS_SCHEMA`` row per file written."""
     import uuid
-
-    from ..state import fsio
 
     files, rows = [], []
     for sub, tbl in sides:
@@ -530,8 +459,8 @@ def _side_files(sides: list[tuple[str, pa.Table]],
             continue
         name = f"{sub}/part-{uuid.uuid4().hex}.parquet"
         path = os.path.join(shard_dir, name)
-        fsio.write_parquet(None, tbl, path + ".tmp")
-        fsio.move(None, path + ".tmp", path)
+        fsio.write_parquet(fs, tbl, path + ".tmp")
+        fsio.move(fs, path + ".tmp", path)
         files.append(name)
         rows.append(tbl.num_rows)
     n = len(files)
@@ -543,7 +472,7 @@ def _side_files(sides: list[tuple[str, pa.Table]],
 
 
 def _shard_pass(batch: pa.Table, split_write, shard_dir: str,
-                merge_kw: dict | None) -> pa.Table:
+                merge_kw: dict | None, fs=None) -> pa.Table:
     """Phase 1's one map over a shard's extracted table records: the triples
     go through stage A of the materialize (``split_write``), the rank-0
     edges (when ``merge_kw`` holds the broadcast merge kwargs) and the label
@@ -564,28 +493,28 @@ def _shard_pass(batch: pa.Table, split_write, shard_dir: str,
     sides.append(("labels", triples.label_pairs_from_tables_batch(batch)))
     return pa.concat_tables([
         runs.append_column("file", pa.nulls(runs.num_rows, pa.string())),
-        _side_files(sides, shard_dir)])
+        _side_files(sides, shard_dir, fs)])
 
 
-def _edges_pass(batch: pa.Table, shard_dir: str) -> pa.Table:
+def _edges_pass(batch: pa.Table, shard_dir: str, fs=None) -> pa.Table:
     """Co-partitioned link merge output block → its rank-0 edges as one
     side file (same commit record as :func:`_shard_pass`)."""
     from ..stages import link
 
-    return _side_files([("edges", link.rank0(batch))], shard_dir)
+    return _side_files([("edges", link.rank0(batch))], shard_dir, fs)
 
 
-def _canonical_split(path: str, mapping: dict, split_write) -> pa.Table:
+def _canonical_split(path: str, mapping: dict, split_write,
+                     fs=None) -> pa.Table:
     """Phase 2's pass over one phase-1 partition file: its triples with
     their URIs rewritten through the canonical ``mapping``, through stage A
     of the final materialize (``split_write``) → the split's commit rows.
     The file goes to pandas and back the way Ray Data converts blocks."""
-    import pyarrow.parquet as pq
     from ray.data.block import BlockAccessor
 
     from ..stages import canonicalize
 
-    df = BlockAccessor.for_block(pq.read_table(path)).to_pandas()
+    df = BlockAccessor.for_block(fsio.read_parquet(fs, path)).to_pandas()
     return split_write(BlockAccessor.for_block(
         canonicalize.rewrite_uris(df, mapping)).to_arrow())
 
@@ -595,21 +524,20 @@ def _records(tables: list[pa.Table]) -> list[dict]:
     return [r for t in tables for r in t.to_pylist()]
 
 
-def _prune_side_files(shard_dir: str, committed: set[str]) -> None:
+def _prune_side_files(shard_dir: str, committed: set[str], fs=None) -> None:
     """Delete every file under the shard's side directories that no task
     result reported: an orphan of a retried task or a stray ``.tmp``."""
-    from ..state import fsio
-
     for sub in _SIDE_DIRS:
         d = os.path.join(shard_dir, sub)
-        for f in fsio.listdir(None, d):
+        for f in fsio.listdir(fs, d):
             if f"{sub}/{f}" not in committed:
-                fsio.remove(None, os.path.join(d, f))
+                fsio.remove(fs, os.path.join(d, f))
 
 
 # label sets at or below this row count run driver-local blocking + CC; above
 # it, the whole mapping construction stays Dataset-native (nothing
-# driver-sized: edges, components, and the (uri, canon) table are Datasets)
+# driver-sized: edges, components, and the (uri, canon) table are Datasets).
+# ``run_full`` reads it at call time.
 LOCAL_LABEL_LIMIT = 2_000_000
 
 
@@ -619,7 +547,7 @@ def run_full(pages_path: str, out_dir: str,
              partitions_per_shard: int = 4,
              num_entities: int = 500,
              canonicalize: bool = True,
-             local_label_limit: int = LOCAL_LABEL_LIMIT) -> dict:
+             fs=None) -> dict:
     """The complete north-rule flow with checkpoints at every stage boundary:
 
       phase 0  label-index build from the gazetteer (manifested, skipped on
@@ -639,20 +567,26 @@ def run_full(pages_path: str, out_dir: str,
     slot, or in-process on the driver at one slot.  Phases 0 and 2 start
     no execution while the guards hold (posting bytes, label rows, mapping
     size).  The returned metrics list the passes under ``passes``: one
-    ``{site, items, tasks}`` entry per pass, ``tasks`` 0 when in-process.
+    ``{site, items, tasks}`` entry per pass, ``tasks`` 0 when in-process;
+    ``shards_skipped`` counts the shards committed before the call and
+    ``shards_run`` those it ran.
+
+    ``fs``: optional ``pyarrow.fs.FileSystem`` for ``out_dir``.  Every
+    output read and write goes through it, the label index and its loads
+    in the link tasks included; the input corpus stays a local path.
+    ``None`` is the POSIX fast path (``state/fsio.py``).
     """
     with record_passes() as passes:
         metrics = _run_full(pages_path, out_dir, cfg, num_shards,
                             partitions_per_shard, num_entities, canonicalize,
-                            local_label_limit)
+                            fs)
     metrics["passes"] = passes
     return metrics
 
 
 def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
               num_shards: int | None, partitions_per_shard: int,
-              num_entities: int, canonicalize: bool,
-              local_label_limit: int) -> dict:
+              num_entities: int, canonicalize: bool, fs) -> dict:
     import ray.data as rd
 
     from ..sources.pages import make_gazetteer
@@ -663,20 +597,20 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
         link_merge_plan,
         mentions_from_tables_batch,
     )
-    from ..state import fsio
     from ..state.index import build_index
 
-    os.makedirs(out_dir, exist_ok=True)
+    fsio.makedirs(fs, out_dir)
     metrics: dict = {}
     t0 = time.time()
 
     # --- phase 0: label index ---
     index_dir = os.path.join(out_dir, "label_index")
     index_manifest = os.path.join(out_dir, "index_manifest.json")
-    if fsio.read_json(None, index_manifest) is None:
+    if fsio.read_json(fs, index_manifest) is None:
         gaz = rd.from_arrow(pa.table(make_gazetteer(num_entities)))
-        n_postings = build_index(gaz, index_dir, num_shards=cfg.num_index_shards)
-        fsio.write_json_atomic(None, index_manifest,
+        n_postings = build_index(gaz, index_dir,
+                                 num_shards=cfg.num_index_shards, fs=fs)
+        fsio.write_json_atomic(fs, index_manifest,
                                {"postings": n_postings,
                                 "entities": num_entities})
     metrics["index_sec"] = time.time() - t0
@@ -689,7 +623,9 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
     for i, f in enumerate(frags):
         shards[i % num_shards].append(f)
 
-    done = completed_shards(out_dir)
+    done = completed_shards(out_dir, fs)
+    metrics["shards_skipped"] = len(done)
+    metrics["shards_run"] = 0
     t1 = time.time()
     rows_triples = 0
     for si, frag_group in enumerate(shards):
@@ -699,8 +635,8 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
         # the shard MANIFEST is the commit record: a crash mid-shard leaves
         # partial side-outputs that a rerun must replace, not append to
         for sub in _SIDE_DIRS:
-            fsio.rmtree(None, os.path.join(shard_dir, sub))
-            fsio.makedirs(None, os.path.join(shard_dir, sub))
+            fsio.rmtree(fs, os.path.join(shard_dir, sub))
+            fsio.makedirs(fs, os.path.join(shard_dir, sub))
         pages = read_pages(frag_group, columns=["url", "html"])
         _ts = time.time()
         tables = extract_tables_ds(pages, cfg).materialize()
@@ -716,7 +652,7 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
         _ts = time.time()
         merge_kw, resolved = link_merge_plan(
             distinct_mentions(tables, from_tables=True), index_dir, cfg,
-            top_k=1)
+            top_k=1, fs=fs)
         committed: list[dict] = []
         if resolved is not None:
             # co-partitioned path: the resolved set is too large to
@@ -726,7 +662,7 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                                    batch_format="pyarrow"),
                 resolved, merge_kw, link_merge_buckets())
             committed += edges.map_batches(
-                _edges_pass, fn_kwargs=dict(shard_dir=shard_dir),
+                _edges_pass, fn_kwargs=dict(shard_dir=shard_dir, fs=fs),
                 batch_format="pyarrow", batch_size=None).take_all()
             merge_kw = None
         metrics["link_sec"] = metrics.get("link_sec", 0.0) + time.time() - _ts
@@ -738,36 +674,35 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
         # whose runs dir is remote/shared storage — lz4's 3.3× byte
         # reduction is the right spill policy (A/B at 256k pages: triples
         # 42.9→30.9 s at 16 cpus, within the machine noise band; see
-        # BASELINE.md #37).  GRAFT_RUN_COMPRESSION overrides.
+        # BASELINE.md #37).
         _ts = time.time()
         shard_bytes = sum(os.path.getsize(f) for f in frag_group
                           if os.path.isfile(f))
-        run_comp = os.environ.get(
-            "GRAFT_RUN_COMPRESSION",
-            "uncompressed" if shard_bytes < (1 << 30) else "lz4")
-        runs_dir = _fresh_runs_dir(shard_dir)
+        run_comp = "uncompressed" if shard_bytes < (1 << 30) else "lz4"
+        runs_dir = _fresh_runs_dir(shard_dir, fs)
         # one _shard_pass call per extracted block.  The call results are
         # the commit record of the runs AND the side files: a retried
         # task's orphan is never read or kept
         committed += _records(run_blocks(
             _shard_pass, block_refs(tables),
             dict(split_write=_run_splitter(
-                runs_dir, partitions_per_shard, run_comp),
-                shard_dir=shard_dir, merge_kw=merge_kw)))
+                runs_dir, partitions_per_shard, run_comp, fs),
+                shard_dir=shard_dir, merge_kw=merge_kw, fs=fs)))
         part_stats = _merge_runs(
             [c for c in committed if c["run_id"] is not None], shard_dir,
             runs_dir, ";".join(os.path.basename(f) for f in frag_group),
-            split_rows=None)
+            split_rows=None, fs=fs)
         _prune_side_files(shard_dir,
-                          {c["file"] for c in committed if c["file"]})
+                          {c["file"] for c in committed if c["file"]}, fs)
         metrics["triples_sec"] = metrics.get("triples_sec", 0.0) + time.time() - _ts
         n_tr = sum(m["rows"] for m in part_stats)
         rows_triples += n_tr
         manifest = {"shard": si, "rows": n_tr,
                     "fragments": [os.path.basename(f) for f in frag_group],
                     "partitions": len(part_stats), "completed_at": time.time()}
-        fsio.write_json_atomic(None, _shard_manifest_path(out_dir, si),
+        fsio.write_json_atomic(fs, _shard_manifest_path(out_dir, si),
                                manifest)
+        metrics["shards_run"] += 1
     metrics["phase1_sec"] = time.time() - t1
     metrics["triples"] = rows_triples
 
@@ -775,7 +710,7 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
     t2 = time.time()
     final_dir = os.path.join(out_dir, "final")
     final_manifest = os.path.join(out_dir, "final_manifest.json")
-    committed_final = fsio.read_json(None, final_manifest)
+    committed_final = fsio.read_json(fs, final_manifest)
     if committed_final is None:
         from ..stages.canonicalize import (
             MAPPING_BROADCAST_LIMIT,
@@ -792,31 +727,30 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
         n_merged = 0
         if canonicalize:
             label_files: list[str] = []
-            for si in completed_shards(out_dir):
+            for si in sorted(completed_shards(out_dir, fs)):
                 d = os.path.join(out_dir, f"shard={si:05d}", "labels")
-                if os.path.isdir(d):
-                    label_files.extend(
-                        os.path.join(d, f) for f in sorted(os.listdir(d))
-                        if f.endswith(".parquet"))
+                label_files.extend(os.path.join(d, f)
+                                   for f in fsio.listdir(fs, d)
+                                   if f.endswith(".parquet"))
             if label_files:
                 import pyarrow.parquet as pq
 
                 # adaptive: Parquet metadata gives the label row count for
                 # free; small sets run the driver-local blocking (identical
                 # semantics, none of the per-op scheduling overhead)
-                n_labels = sum(pq.ParquetFile(f).metadata.num_rows
+                n_labels = sum(pq.read_metadata(f, filesystem=fs).num_rows
                                for f in label_files)
-                if n_labels <= local_label_limit:
-                    labels_df = pq.read_table(label_files[0]).to_pandas() \
-                        if len(label_files) == 1 else \
-                        pa.concat_tables([pq.read_table(f) for f in label_files]).to_pandas()
+                if n_labels <= LOCAL_LABEL_LIMIT:
+                    labels_df = pa.concat_tables(
+                        [fsio.read_parquet(fs, f) for f in label_files]) \
+                        .to_pandas()
                     mapping = mapping_from_edges(alias_edges_local(labels_df, cfg), cfg)
                     n_merged = len(mapping)
                 else:
                     # Dataset-native end-to-end: edge Dataset → distributed
                     # CC → (uri, canon) Dataset → co-partitioned join rewrite
                     edges_ds = alias_edges_from_labels(
-                        rd.read_parquet(label_files), cfg)
+                        rd.read_parquet(label_files, filesystem=fs), cfg)
                     mapping = mapping_ds_from_edges(edges_ds, cfg).materialize()
                     n_merged = mapping.count()
         if n_merged:
@@ -824,17 +758,17 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                     len(mapping) <= MAPPING_BROADCAST_LIMIT:
                 # the phase-1 partition files exist: read + rewrite + split
                 # is one pass over them, then stage B
-                runs_dir = _fresh_runs_dir(final_dir)
+                runs_dir = _fresh_runs_dir(final_dir, fs)
                 split_write = _run_splitter(
-                    runs_dir, cfg.num_output_partitions,
-                    os.environ.get("GRAFT_RUN_COMPRESSION", "uncompressed"))
+                    runs_dir, cfg.num_output_partitions, "uncompressed", fs)
                 part_stats = _merge_runs(
                     _records(run_blocks(
-                        _canonical_split, output_files(out_dir),
-                        dict(mapping=mapping, split_write=split_write))),
-                    final_dir, runs_dir, "phase2", split_rows=None)
+                        _canonical_split, output_files(out_dir, fs),
+                        dict(mapping=mapping, split_write=split_write,
+                             fs=fs))),
+                    final_dir, runs_dir, "phase2", split_rows=None, fs=fs)
             else:
-                triples_all = read_output(out_dir)
+                triples_all = read_output(out_dir, fs)
                 part_cols = [c for c in ("shard", "part")
                              if c in (triples_all.schema().names or [])]
                 if part_cols:
@@ -842,7 +776,7 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                 part_stats = materialize_triples(
                     apply_canonical_mapping(triples_all, mapping), final_dir,
                     num_partitions=cfg.num_output_partitions,
-                    fingerprint="phase2")
+                    fingerprint="phase2", fs=fs)
             n_final = sum(m["rows"] for m in part_stats)
             layout = "final"
         else:
@@ -850,10 +784,10 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
             # partitioned and sorted) ARE the final output — commit that fact
             # instead of rewriting 100% of the data
             n_final = sum(
-                fsio.read_json(None, _shard_manifest_path(out_dir, si))["rows"]
-                for si in completed_shards(out_dir))
+                fsio.read_json(fs, _shard_manifest_path(out_dir, si))["rows"]
+                for si in completed_shards(out_dir, fs))
             layout = "phase1"
-        fsio.write_json_atomic(None, final_manifest,
+        fsio.write_json_atomic(fs, final_manifest,
                                {"rows": n_final, "layout": layout,
                                 "merged_uris": n_merged,
                                 "completed_at": time.time()})
@@ -876,20 +810,9 @@ def read_output(out_dir: str, fs=None):
 def output_files(out_dir: str, fs=None) -> list[str]:
     """The data files of every committed phase-1 partition (only shards
     with manifests)."""
-    from ..state import fsio
-
-    done = completed_shards(out_dir, fs=fs)
-    paths = []
-    for si in sorted(done):
-        shard_dir = os.path.join(out_dir, f"shard={si:05d}")
-        for d in fsio.listdir(fs, shard_dir):
-            if d.startswith("part=") and not d.endswith(".tmp"):
-                part_dir = os.path.join(shard_dir, d)
-                paths.extend(
-                    os.path.join(part_dir, f)
-                    for f in fsio.listdir(fs, part_dir)
-                    if f.endswith(".parquet")
-                )
+    paths = [f for si in sorted(completed_shards(out_dir, fs))
+             for f in mat.partition_files(
+                 os.path.join(out_dir, f"shard={si:05d}"), fs)]
     if not paths:
         raise FileNotFoundError(f"no completed shards under {out_dir}")
     return paths

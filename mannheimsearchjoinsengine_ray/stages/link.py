@@ -215,15 +215,15 @@ _WORKER_STATES: dict[str, pa.Table] = {}
 
 
 def _core_for(index_dir: str, top_k: int, max_edit: int, fuzzy: bool,
-              refine_factor: float) -> "LinkerActor":
-    key = (index_dir, index_stamp(index_dir), top_k, max_edit, fuzzy,
+              refine_factor: float, fs=None) -> "LinkerActor":
+    key = (index_dir, index_stamp(index_dir, fs), top_k, max_edit, fuzzy,
            refine_factor)
     core = _WORKER_CORES.get(key)
     if core is None:
         if len(_WORKER_CORES) > 8:
             _WORKER_CORES.clear()
         core = LinkerActor(index_dir, top_k=top_k, max_edit=max_edit,
-                           fuzzy=fuzzy, refine_factor=refine_factor)
+                           fuzzy=fuzzy, refine_factor=refine_factor, fs=fs)
         _WORKER_CORES[key] = core
     return core
 
@@ -279,11 +279,12 @@ def _resolve_on(idx: LabelIndex, mentions: pa.Array, top_k: int,
 
 def resolve_mentions_batch(batch: pa.Table, index_dir: str, top_k: int,
                            max_edit: int, fuzzy: bool,
-                           refine_factor: float) -> pa.Table:
+                           refine_factor: float, fs=None) -> pa.Table:
     """DISTINCT mentions → one resolved row each: the finalized no-context
     top-k hits plus everything the per-row margin gate and context re-score
     need later (top-two gap, attr flag, full candidate list)."""
-    idx = _core_for(index_dir, top_k, max_edit, fuzzy, refine_factor).index
+    idx = _core_for(index_dir, top_k, max_edit, fuzzy, refine_factor,
+                    fs).index
     return _resolve_on(
         idx, batch.column("mention").combine_chunks().cast(pa.string()),
         top_k, fuzzy, max_edit)
@@ -366,11 +367,11 @@ PARTIAL_SCHEMA = pa.schema([
 _WORKER_SHARD_IDX: dict[tuple, "LabelIndex"] = {}
 
 
-def _shard_index_for(index_dir: str, shard: int) -> "LabelIndex":
+def _shard_index_for(index_dir: str, shard: int, fs=None) -> "LabelIndex":
     """Per-worker cache of shard-scoped indexes (a worker typically serves a
     few shards over its lifetime; each holds 1/N of the index), keyed by
     path, build stamp and shard."""
-    key = (index_dir, index_stamp(index_dir), shard)
+    key = (index_dir, index_stamp(index_dir, fs), shard)
     idx = _WORKER_SHARD_IDX.get(key)
     if idx is None:
         from ..state.index import vocab_stats_for
@@ -381,17 +382,17 @@ def _shard_index_for(index_dir: str, shard: int) -> "LabelIndex":
             # the shard load
             _WORKER_SHARD_IDX.pop(next(iter(_WORKER_SHARD_IDX)))
         idx = LabelIndex(index_dir, shards=[shard],
-                         vocab=vocab_stats_for(index_dir))
+                         vocab=vocab_stats_for(index_dir, fs), fs=fs)
         _WORKER_SHARD_IDX[key] = idx
     return idx
 
 
 def score_shard_batch(batch: pa.Table, index_dir: str, shard: int,
-                      fuzzy: bool, max_edit: int) -> pa.Table:
+                      fuzzy: bool, max_edit: int, fs=None) -> pa.Table:
     """distinct mentions × ONE shard → candidate partial rows (complete
     per-candidate scores: an entry lives whole in its home shard), from one
     ``score_many`` call over the block."""
-    idx = _shard_index_for(index_dir, shard)
+    idx = _shard_index_for(index_dir, shard, fs)
     mentions = batch.column("mention").combine_chunks().cast(pa.string())
     moffs, eids, scores = idx.score_many(mentions.to_pylist(), fuzzy=fuzzy,
                                          max_edit=max_edit)
@@ -533,7 +534,8 @@ def _scored_by_scatter(distinct_ds, shards: list[int], kw: dict) -> list:
 
 
 def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
-                             max_edit: int, fuzzy: bool, shards: list[int]):
+                             max_edit: int, fuzzy: bool, shards: list[int],
+                             fs=None):
     """DISTINCT mentions → resolved rows via shard scatter-gather: every
     live shard scores every distinct mention (each scoring call holds 1/N
     of the index), one hash(mention) ``bucket_map`` gathers the candidate
@@ -557,7 +559,7 @@ def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
     them over as its maps finish.  The edges are the same either way: the
     top-k and the context re-score order candidates by (score, uri,
     name)."""
-    kw = dict(index_dir=index_dir, fuzzy=fuzzy, max_edit=max_edit)
+    kw = dict(index_dir=index_dir, fuzzy=fuzzy, max_edit=max_edit, fs=fs)
     scored = _scored_in_passes(distinct_ds, shards, kw)
     if scored is None:
         scored = _scored_by_scatter(distinct_ds, shards, kw)
@@ -799,8 +801,8 @@ class LinkerActor:
 
     def __init__(self, index_dir: str, top_k: int = 5,
                  max_edit: int = 1, fuzzy: bool = True,
-                 refine_factor: float = 0.0):
-        self.index = LabelIndex(index_dir)
+                 refine_factor: float = 0.0, fs=None):
+        self.index = LabelIndex(index_dir, fs=fs)
         self.top_k = top_k
         self.max_edit = max_edit
         self.fuzzy = fuzzy
@@ -862,7 +864,7 @@ def _broadcast_table(ref) -> pa.Table:
 
 def merge_links_batch(batch: pa.Table, ref, index_dir: str, top_k: int,
                       max_edit: int, fuzzy: bool, refine_factor: float,
-                      payload_mode: bool = False) -> pa.Table:
+                      payload_mode: bool = False, fs=None) -> pa.Table:
     """mention rows + broadcast resolved table → edges through the merge
     core ``_link_rows``.  Mentions absent from the broadcast table
     (nondeterministic upstream recompute) resolve on the per-worker index
@@ -881,7 +883,7 @@ def merge_links_batch(batch: pa.Table, ref, index_dir: str, top_k: int,
 
     def index_of() -> LabelIndex:
         return _core_for(index_dir, top_k, max_edit, fuzzy,
-                         refine_factor).index
+                         refine_factor, fs).index
 
     missing = pc.unique(pc.drop_null(mentions.filter(pa.array(rows < 0))))
     if len(missing) and payload_mode:
@@ -991,7 +993,7 @@ def link_merge_buckets() -> int:
 
 def link_merge_plan(distinct_ds, index_dir: str,
                     cfg: PipelineConfig = DEFAULT_CONFIG,
-                    top_k: int = 5) -> tuple[dict, object]:
+                    top_k: int = 5, fs=None) -> tuple[dict, object]:
     """Everything of the link before the merge: route the resolve, resolve
     the distinct mentions ONCE, and choose how the merge meets them.
 
@@ -1009,15 +1011,19 @@ def link_merge_plan(distinct_ds, index_dir: str,
     worker is the broadcast-small-side pattern and strictly faster, while a
     large KB must NOT be loaded whole into every worker (round-4 verdict,
     missing #2).  True/False force the mode (tests and the big-link bench
-    use this)."""
+    use this).
+
+    ``fs``: the ``pyarrow.fs.FileSystem`` the index lives on (None:
+    POSIX).  It rides in the kwargs beside ``index_dir``, so every index
+    load — resolve, shard scoring, merge fallback — reads through it."""
     import ray
 
     from ..state.index import index_meta
 
     kw = dict(index_dir=index_dir, top_k=top_k,
               max_edit=cfg.max_edit_distance, fuzzy=True,
-              refine_factor=cfg.refine_attrs_factor)
-    meta = index_meta(index_dir)
+              refine_factor=cfg.refine_attrs_factor, fs=fs)
+    meta = index_meta(index_dir, fs)
     sharded = cfg.link_shard_route
     if sharded is None:
         # the guard compares what REPLICATING would cost per worker —
@@ -1046,7 +1052,7 @@ def link_merge_plan(distinct_ds, index_dir: str,
             resolved = resolve_mentions_sharded(
                 distinct, index_dir, top_k=top_k,
                 max_edit=cfg.max_edit_distance, fuzzy=True,
-                shards=[int(s) for s in meta["shards"]])
+                shards=[int(s) for s in meta["shards"]], fs=fs)
         else:
             resolved = distinct.map_batches(resolve_mentions_batch,
                                             fn_kwargs=kw,

@@ -43,18 +43,37 @@ def manifest_path(out_dir: str, part: int) -> str:
     return os.path.join(out_dir, f"manifest_part{part:05d}.json")
 
 
-def completed_partitions(out_dir: str, fs=None) -> set[int]:
-    if not fsio.isdir(fs, out_dir):
-        return set()
+def manifest_ids(out_dir: str, prefix: str, key: str, fs=None) -> set[int]:
+    """The ``key`` of every ``<prefix>*.json`` manifest directly under
+    ``out_dir``; a torn or unparseable manifest is no commit and is
+    skipped (a ``.json.tmp`` is never listed)."""
     done = set()
     for f in fsio.listdir(fs, out_dir):
-        if f.startswith("manifest_part") and f.endswith(".json"):
+        if f.startswith(prefix) and f.endswith(".json"):
             m = fsio.read_json(fs, os.path.join(out_dir, f))
             try:
-                done.add(int(m["partition"]))
+                done.add(int(m[key]))
             except (TypeError, ValueError, KeyError):
                 continue
     return done
+
+
+def completed_partitions(out_dir: str, fs=None) -> set[int]:
+    return manifest_ids(out_dir, "manifest_part", "partition", fs)
+
+
+def partition_files(out_dir: str, fs=None) -> list[str]:
+    """The data files of every ``part=P`` directory under ``out_dir``, in
+    name order; ``part=P.tmp`` staging directories are skipped.  A
+    skew-split partition holds several range-sorted ``data-*.parquet``."""
+    paths = []
+    for d in fsio.listdir(fs, out_dir):
+        if d.startswith("part=") and not d.endswith(".tmp"):
+            part_dir = os.path.join(out_dir, d)
+            paths.extend(os.path.join(part_dir, f)
+                         for f in fsio.listdir(fs, part_dir)
+                         if f.endswith(".parquet"))
+    return paths
 
 
 def commit_partition_dir(out_dir: str, part: int, rows: int,
@@ -116,13 +135,5 @@ def read_materialized(out_dir: str, fs=None):
     """Read back all completed partitions as one Dataset."""
     import ray.data as rd
 
-    # expand to files: Ray treats list entries as files, not directories,
-    # and a skew-split partition holds several range-sorted data-*.parquet
-    paths = []
-    for d in fsio.listdir(fs, out_dir):
-        if d.startswith("part=") and not d.endswith(".tmp"):
-            part_dir = os.path.join(out_dir, d)
-            paths.extend(os.path.join(part_dir, f)
-                         for f in fsio.listdir(fs, part_dir)
-                         if f.endswith(".parquet"))
-    return rd.read_parquet(paths, filesystem=fs)
+    # expand to files: Ray treats list entries as files, not directories
+    return rd.read_parquet(partition_files(out_dir, fs), filesystem=fs)

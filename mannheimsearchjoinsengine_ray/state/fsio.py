@@ -18,8 +18,8 @@ Atomicity note: on POSIX (``LocalFileSystem``/``SubTreeFileSystem`` over
 local) ``move`` is rename(2) — same guarantee as the fast path.  On object
 stores a move is copy+delete, so the commit protocol degrades to
 "manifest object appears at most once, possibly torn" — which the read side
-already tolerates (``completed_partitions``/``completed_shards`` skip
-unparseable manifests, and data directories are re-derived from manifests,
+already tolerates (``materialize.manifest_ids`` skips unparseable
+manifests, and data directories are re-derived from manifests,
 never trusted bare).
 """
 
@@ -99,6 +99,24 @@ def size(fs, path: str) -> int:
     if fs is None:
         return os.path.getsize(path)
     return int(fs.get_file_info(path).size or 0)
+
+
+def stamp(fs, path: str) -> tuple | None:
+    """A file's version: (mtime_ns, inode) on POSIX, where an atomic rename
+    gives a rewritten file a new inode; (mtime_ns, size) through ``fs``,
+    which exposes no inode.  None for a missing file."""
+    if fs is None:
+        try:
+            st = os.stat(path)
+        except OSError:
+            return None
+        return st.st_mtime_ns, st.st_ino
+    from pyarrow.fs import FileType
+
+    info = fs.get_file_info(path)
+    if info.type == FileType.NotFound:
+        return None
+    return info.mtime_ns, info.size
 
 
 def write_json_atomic(fs, path: str, obj: dict) -> None:

@@ -46,11 +46,11 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..functions.hashing import hash64
 from ..functions.normalize import clear_string, tokenize_string
 from ..functions.similarity import jaccard, levenshtein
+from . import fsio
 
 POSTING_SCHEMA = pa.schema([
     ("token", pa.string()),
@@ -156,7 +156,6 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
         run_blocks,
         two_phase_agg,
     )
-    from . import fsio
 
     if driver_final_bytes is None:
         driver_final_bytes = int(os.environ.get(
@@ -254,8 +253,6 @@ def _write_index_meta(fs, index_dir: str, num_shards: int,
                       stats: list[dict]) -> dict:
     """``_meta.json`` from per-shard (shard, postings, entries, arrow_bytes)
     stats — shared by the driver-local and distributed builds."""
-    from . import fsio
-
     live = sorted(int(r["shard"]) for r in stats)
     arrow_bytes = int(sum(r["arrow_bytes"] for r in stats))
     meta = {
@@ -290,8 +287,6 @@ def _build_index_driver(tbl: pa.Table, index_dir: str, num_shards: int,
     shard file is a filtered, token-sorted slice written directly."""
     import numpy as np
     import pyarrow.compute as pc
-
-    from . import fsio
 
     tbl = tbl.combine_chunks()
     ent = pc.binary_join_element_wise(
@@ -337,15 +332,11 @@ def _build_index_driver(tbl: pa.Table, index_dir: str, num_shards: int,
     return _write_index_meta(fs, index_dir, num_shards, stats)["postings"]
 
 
-def index_meta(index_dir: str) -> dict | None:
-    """The build's ``_meta.json`` (None for a pre-meta or missing index)."""
-    import json as _json
-
-    try:
-        with open(os.path.join(index_dir, _META_FILE)) as fh:
-            return _json.load(fh)
-    except (FileNotFoundError, ValueError):
-        return None
+def index_meta(index_dir: str, fs=None) -> dict | None:
+    """The build's ``_meta.json`` (None for a pre-meta or missing index).
+    ``fs``, here and in every loader below: the ``pyarrow.fs.FileSystem``
+    the index was built through (``build_index(fs=)``); None is POSIX."""
+    return fsio.read_json(fs, os.path.join(index_dir, _META_FILE))
 
 
 class VocabStats:
@@ -356,15 +347,17 @@ class VocabStats:
     state a shard-routed worker holds (the postings + entry metadata, which
     dominate the index, stay 1/N per shard)."""
 
-    def __init__(self, index_dir: str):
-        meta = index_meta(index_dir)
+    def __init__(self, index_dir: str, fs=None):
+        meta = index_meta(index_dir, fs)
         if meta is None:
             raise FileNotFoundError(f"no {_META_FILE} under {index_dir}")
         self.n_entries = max(1, int(meta["n_entries"]))
         vdir = os.path.join(index_dir, _VOCAB_DIR)
-        files = [os.path.join(vdir, f) for f in sorted(os.listdir(vdir))
-                 if f.endswith(".parquet")]
-        tabs = [pq.read_table(f, columns=["token", "df"]) for f in files]
+        if not fsio.isdir(fs, vdir):
+            raise FileNotFoundError(f"no {_VOCAB_DIR}/ under {index_dir}")
+        tabs = [fsio.read_parquet(fs, os.path.join(vdir, f),
+                                  columns=["token", "df"])
+                for f in fsio.listdir(fs, vdir) if f.endswith(".parquet")]
         t = pa.concat_tables(tabs) if tabs else pa.table(
             {"token": pa.array([], pa.string()),
              "df": pa.array([], pa.int64())})
@@ -394,31 +387,28 @@ class VocabStats:
         return bool(self.contains_many([token])[0])
 
 
-def index_stamp(index_dir: str) -> tuple | None:
-    """The build stamp of ``index_dir``: its ``_meta.json``'s (st_mtime_ns,
-    st_ino), None for a pre-meta index.  A build writes the file by atomic
+def index_stamp(index_dir: str, fs=None) -> tuple | None:
+    """The build stamp of ``index_dir``: its ``_meta.json``'s
+    ``fsio.stamp`` — (mtime_ns, inode) on POSIX, (mtime_ns, size) through
+    ``fs`` — None for a pre-meta index.  A build writes the file by atomic
     rename, so a rebuild at the same path gets a new inode.  Per-process
     caches of a loaded index key on it next to the path, or an index
     rebuilt in place would be served stale."""
-    try:
-        st = os.stat(os.path.join(index_dir, _META_FILE))
-    except OSError:
-        return None
-    return st.st_mtime_ns, st.st_ino
+    return fsio.stamp(fs, os.path.join(index_dir, _META_FILE))
 
 
 _VOCAB_CACHE: dict[tuple, VocabStats] = {}
 
 
-def vocab_stats_for(index_dir: str) -> VocabStats:
+def vocab_stats_for(index_dir: str, fs=None) -> VocabStats:
     """Per-process VocabStats cache (Ray reuses worker processes), keyed by
     path and build stamp."""
-    key = (index_dir, index_stamp(index_dir))
+    key = (index_dir, index_stamp(index_dir, fs))
     v = _VOCAB_CACHE.get(key)
     if v is None:
         if len(_VOCAB_CACHE) > 4:
             _VOCAB_CACHE.clear()
-        v = VocabStats(index_dir)
+        v = VocabStats(index_dir, fs)
         _VOCAB_CACHE[key] = v
     return v
 
@@ -595,20 +585,19 @@ class LabelIndex:
     """
 
     def __init__(self, index_dir: str, shards: list[int] | None = None,
-                 vocab: VocabStats | None = None):
+                 vocab: VocabStats | None = None, fs=None):
         import pyarrow.compute as pc
 
-        files = sorted(
-            os.path.join(index_dir, f) for f in os.listdir(index_dir)
-            if f.startswith("shard_") and f.endswith(".parquet")
-        )
+        files = [f for f in fsio.listdir(fs, index_dir)
+                 if f.startswith("shard_") and f.endswith(".parquet")]
         if shards is not None:
             keep = {f"shard_{s:04d}.parquet" for s in shards}
-            files = [f for f in files if os.path.basename(f) in keep]
+            files = [f for f in files if f in keep]
         if not files:
             raise FileNotFoundError(f"no index shards under {index_dir}")
 
-        tables = [pq.read_table(f) for f in files]
+        tables = [fsio.read_parquet(fs, os.path.join(index_dir, f))
+                  for f in files]
         t = pa.concat_tables(tables, promote_options="default") \
             if len(tables) > 1 else tables[0]
 

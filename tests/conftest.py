@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 
@@ -47,3 +49,33 @@ def in_process(monkeypatch):
     from mannheimsearchjoinsengine_ray.stages import aggregates
 
     monkeypatch.setattr(aggregates, "cpu_slots", lambda: 1)
+
+
+@pytest.fixture
+def crash_at(monkeypatch):
+    """``crash_at(name, when)`` makes the next ``fsio.write_json_atomic`` of
+    a file named ``name`` raise ``RuntimeError("injected crash ...")``:
+    ``"before"`` the commit, or ``"after"`` the file is in place.  It fires
+    once, so a rerun in the same test commits as usual — a killed run and
+    its resume."""
+    from mannheimsearchjoinsengine_ray.state import fsio
+
+    real = fsio.write_json_atomic
+
+    def arm(name: str, when: str) -> None:
+        assert when in ("before", "after"), when
+        armed = [True]
+
+        def write_json_atomic(fs, path, obj):
+            fire = armed[0] and os.path.basename(path) == name
+            if fire:
+                armed[0] = False
+                if when == "before":
+                    raise RuntimeError(f"injected crash before {name}")
+            real(fs, path, obj)
+            if fire:
+                raise RuntimeError(f"injected crash after {name}")
+
+        monkeypatch.setattr(fsio, "write_json_atomic", write_json_atomic)
+
+    return arm

@@ -90,9 +90,10 @@ def _read_final(out: str):
     return rd.read_parquet(final_files)
 
 
-def test_run_full_mapping_dataset_native_equivalence(ray_session, tmp_path):
+def test_run_full_mapping_dataset_native_equivalence(ray_session, tmp_path,
+                                                     monkeypatch):
     """The label-count guard forced both ways: the driver-dict path and the
-    Dataset-native path (local_label_limit=0 -> edge Dataset -> distributed
+    Dataset-native path (LOCAL_LABEL_LIMIT 0 -> edge Dataset -> distributed
     CC -> (uri, canon) Dataset -> join rewrite, no driver dict anywhere)
     must produce identical final triple sets and merge counts."""
     import pandas as pd
@@ -105,8 +106,9 @@ def test_run_full_mapping_dataset_native_equivalence(ray_session, tmp_path):
     m1 = kg.run_full(corpus, out_dict, cfg=cfg, num_shards=1,
                      partitions_per_shard=2)
     out_ds = str(tmp_path / "out_ds")
+    monkeypatch.setattr(kg, "LOCAL_LABEL_LIMIT", 0)
     m2 = kg.run_full(corpus, out_ds, cfg=cfg, num_shards=1,
-                     partitions_per_shard=2, local_label_limit=0)
+                     partitions_per_shard=2)
 
     assert m1["merged_uris"] > 0
     assert m2["merged_uris"] == m1["merged_uris"]

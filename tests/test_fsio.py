@@ -15,17 +15,27 @@ Two filesystems are exercised:
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray.data as rd
 from pyarrow.fs import LocalFileSystem, SubTreeFileSystem
 
+from mannheimsearchjoinsengine_ray.config import PipelineConfig
 from mannheimsearchjoinsengine_ray.pipelines import kg
 from mannheimsearchjoinsengine_ray.sources import pages as P
+from mannheimsearchjoinsengine_ray.stages.materialize import (
+    completed_partitions,
+    read_materialized,
+)
 
 N_PAGES = 120  # fragments bottom out at 50 rows/file — need >=3 files
+# near-label subjects merge under this config, so phase 2 rewrites the
+# triples into final/ (test_canonical_merge_path.py uses the same one)
+MERGE_CFG = dict(fuzzy_min_confidence=0.45, minhash_bands=16)
 
 
 @pytest.fixture(scope="module")
@@ -39,23 +49,24 @@ def _rows(ds):
     return sorted(map(tuple, ds.to_pandas().values.tolist()))
 
 
-def test_resume_crash_via_localfs(ray_session, corpus_dir, tmp_path):
+def test_resume_crash_via_localfs(ray_session, corpus_dir, tmp_path,
+                                  crash_at):
     """FIXTURES F8 semantics through the fs API: kill after 1 shard, resume,
     final output identical to a plain POSIX-path run."""
     fs = LocalFileSystem()
     out_posix = str(tmp_path / "posix")
     out_fs = str(tmp_path / "viafs")
-    kg.run_resumable(corpus_dir, out_posix, num_shards=3,
-                     partitions_per_shard=2)
+    kg.run_full(corpus_dir, out_posix, num_shards=3, partitions_per_shard=2)
 
-    with pytest.raises(RuntimeError, match="injected failure"):
-        kg.run_resumable(corpus_dir, out_fs, num_shards=3,
-                         partitions_per_shard=2, fail_after_shards=1, fs=fs)
+    crash_at("shard_manifest_00000.json", "after")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        kg.run_full(corpus_dir, out_fs, num_shards=3, partitions_per_shard=2,
+                    fs=fs)
     assert len(kg.completed_shards(out_fs, fs=fs)) == 1
     # the POSIX reader sees the same commit records the fs reader does
     assert kg.completed_shards(out_fs) == kg.completed_shards(out_fs, fs=fs)
-    m = kg.run_resumable(corpus_dir, out_fs, num_shards=3,
-                         partitions_per_shard=2, fs=fs)
+    m = kg.run_full(corpus_dir, out_fs, num_shards=3, partitions_per_shard=2,
+                    fs=fs)
     assert m["shards_skipped"] == 1 and m["shards_run"] == 2
     assert _rows(kg.read_output(out_posix)) == \
         _rows(kg.read_output(out_fs, fs=fs))
@@ -64,30 +75,59 @@ def test_resume_crash_via_localfs(ray_session, corpus_dir, tmp_path):
     assert not glob.glob(os.path.join(out_fs, "**", "*.tmp"), recursive=True)
 
 
-def test_prefix_rewriting_subtree_fs(ray_session, corpus_dir, tmp_path):
+@pytest.fixture(scope="module")
+def merged_posix(corpus_dir, tmp_path_factory):
+    """A POSIX ``run_full`` whose phase 2 rewrites into ``final/``."""
+    out = str(tmp_path_factory.mktemp("merged_posix"))
+    m = kg.run_full(corpus_dir, out, cfg=PipelineConfig(**MERGE_CFG),
+                    num_shards=2, partitions_per_shard=3)
+    assert m["merged_uris"] > 0
+    return out
+
+
+@pytest.mark.parametrize("route", [None, True], ids=["route_auto",
+                                                      "route_shards"])
+@pytest.mark.parametrize("labels", ["local", "dataset"])
+def test_prefix_rewriting_subtree_fs(ray_session, corpus_dir, merged_posix,
+                                     tmp_path, monkeypatch, labels, route):
     """SubTreeFileSystem mock: the pipeline writes to a RELATIVE path that is
     only meaningful under the subtree root — proves no output I/O bypasses
-    ``fs`` (a bare os call would land in the driver's cwd, asserted clean)."""
+    ``fs`` (a bare os call would land in the driver's cwd, asserted clean).
+    Phase 2 merges, so ``final/`` is written through ``fs`` too, on both
+    label branches (driver-local and Dataset-native), and the label index
+    is read through ``fs`` by the replicated and the shard-routed
+    resolve."""
+    if labels == "dataset":
+        monkeypatch.setattr(kg, "LOCAL_LABEL_LIMIT", 0)
     root = str(tmp_path / "bucket")
     os.makedirs(root)
     fs = SubTreeFileSystem(root, LocalFileSystem())
     rel_out = "kg_out_rel_fsio_test"
     escaped = os.path.join(os.getcwd(), rel_out)
 
-    out_posix = str(tmp_path / "posix")
-    kg.run_resumable(corpus_dir, out_posix, num_shards=2,
-                     partitions_per_shard=3)
     try:
-        m = kg.run_resumable(corpus_dir, rel_out, num_shards=2,
-                             partitions_per_shard=3, fs=fs)
-        assert m["shards_run"] == 2
+        m = kg.run_full(corpus_dir, rel_out,
+                        cfg=PipelineConfig(**MERGE_CFG, link_shard_route=route),
+                        num_shards=2, partitions_per_shard=3, fs=fs)
+        assert m["shards_run"] == 2 and m["merged_uris"] > 0
         concrete = os.path.join(root, rel_out)
         assert os.path.isdir(concrete)
         manifests = [f for f in os.listdir(concrete)
                      if f.startswith("shard_manifest_")]
         assert len(manifests) == 2
-        assert _rows(kg.read_output(out_posix)) == \
+        with open(os.path.join(concrete, "final_manifest.json")) as fh:
+            assert json.load(fh)["layout"] == "final"
+        assert _rows(kg.read_output(merged_posix)) == \
             _rows(kg.read_output(rel_out, fs=fs))
+        assert _rows(read_materialized(os.path.join(merged_posix, "final"))) \
+            == _rows(read_materialized(os.path.join(rel_out, "final"), fs=fs))
+        for d in ("shard=00000/edges", "shard=00001/edges"):
+            assert _rows(rd.read_parquet(os.path.join(merged_posix, d))) == \
+                _rows(rd.read_parquet(os.path.join(concrete, d)))
+        assert not glob.glob(os.path.join(concrete, "**", "_runs"),
+                             recursive=True)
+        assert not glob.glob(os.path.join(concrete, "**", "*.tmp"),
+                             recursive=True)
         assert not os.path.exists(escaped), \
             "output escaped the mock filesystem into the cwd"
     finally:
@@ -99,14 +139,6 @@ def test_skew_split_materialize_via_fs(ray_session, tmp_path):
     """The heavy-partition range-split path (sampling tasks + sub-merge tasks
     + driver commit) is fs-clean: identical output through SubTreeFileSystem
     and plain paths, staging dirs gone."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from mannheimsearchjoinsengine_ray.stages.materialize import (
-        completed_partitions,
-        read_materialized,
-    )
-
     rng = np.random.RandomState(3)
     n = 3000
     subs = (["http://x/Head"] * (n // 3)
@@ -146,14 +178,18 @@ def test_skew_split_materialize_via_fs(ray_session, tmp_path):
 
 def test_build_index_via_fs(ray_session, tmp_path):
     """Label-index build through the fs API: shard files, vocab and meta are
-    content-identical to the POSIX build (posting sets and df are exact)."""
-    import json
-
+    content-identical to the POSIX build (posting sets and df are exact),
+    and the index loads back through the same fs — meta, whole and one
+    shard with the global vocabulary — scoring as the POSIX-built one."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from mannheimsearchjoinsengine_ray.sources.pages import make_gazetteer
-    from mannheimsearchjoinsengine_ray.state.index import LabelIndex, build_index
+    from mannheimsearchjoinsengine_ray.state.index import (
+        LabelIndex,
+        build_index,
+        index_meta,
+        vocab_stats_for,
+    )
 
     gaz = pa.table(make_gazetteer(60))
     root = str(tmp_path / "idxstore")
@@ -191,6 +227,29 @@ def test_build_index_via_fs(ray_session, tmp_path):
     r2 = ix2.search(gold_label, fuzzy=False)
     assert r1 and [(u, s) for u, s, *_ in r1] == [(u, s) for u, s, *_ in r2]
 
+    # ... and through the fs it was built on: the relative path exists only
+    # under the subtree root, so a bare POSIX read would fail
+    assert index_meta("idx_rel", fs=fs) == meta2
+    mentions = [gaz.column("label")[i].as_py() for i in (0, 7, 23)] + \
+        ["no such entity", gold_label.upper() + "x"]
+
+    def scored(ix):
+        moffs, eids, scores = ix.score_many(mentions)
+        uris = ix.entries_uri.take(pa.array(eids)).to_pylist()
+        hits = sorted((int(m), u, float(sc)) for m, u, sc in zip(
+            np.repeat(np.arange(len(mentions)), np.diff(moffs)), uris,
+            scores))
+        assert hits
+        return hits
+
+    assert scored(LabelIndex("idx_rel", fs=fs)) == scored(ix1)
+    s0 = meta1["shards"][0]
+    assert scored(LabelIndex("idx_rel", shards=[s0],
+                             vocab=vocab_stats_for("idx_rel", fs=fs),
+                             fs=fs)) == \
+        scored(LabelIndex(posix_dir, shards=[s0],
+                          vocab=vocab_stats_for(posix_dir)))
+
 
 def test_throttled_fs_materialize_identical(ray_session, corpus_dir, tmp_path):
     """The slow-storage harness (`state/throttlefs.py`, VERDICT r4 task 8)
@@ -201,10 +260,6 @@ def test_throttled_fs_materialize_identical(ray_session, corpus_dir, tmp_path):
 
     from mannheimsearchjoinsengine_ray.state.throttlefs import (
         throttled_local_fs,
-    )
-
-    from mannheimsearchjoinsengine_ray.stages.materialize import (
-        read_materialized,
     )
 
     pages = kg.read_pages(corpus_dir, columns=["url", "html"])

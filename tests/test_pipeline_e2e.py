@@ -84,11 +84,11 @@ def test_evaluate_harness_units():
 
 def test_materialize_partitions_and_manifests(ray_session, corpus_dir, tmp_path):
     out = str(tmp_path / "kg_out")
-    metrics = kg.run_resumable(corpus_dir, out, num_shards=2, partitions_per_shard=3)
+    metrics = kg.run_full(corpus_dir, out, num_shards=2, partitions_per_shard=3)
     assert metrics["shards_run"] == 2
     ds = kg.read_output(out)
     n = ds.count()
-    assert n == metrics["rows_written"] and n > 0
+    assert n == metrics["triples"] and n > 0
     # partitions are sorted by (subj, pred) and subject-disjoint across parts
     shard_dir = os.path.join(out, "shard=00000")
     import pyarrow.parquet as pq
@@ -107,17 +107,18 @@ def test_materialize_partitions_and_manifests(ray_session, corpus_dir, tmp_path)
             assert not (subj_sets[i] & subj_sets[j])
 
 
-def test_resume_skips_completed_shards(ray_session, corpus_dir, tmp_path):
+def test_resume_skips_completed_shards(ray_session, corpus_dir, tmp_path,
+                                       crash_at):
     """FIXTURES F8: kill after k shards, resume, identical final output."""
     out_a = str(tmp_path / "runA")
     out_b = str(tmp_path / "runB")
-    kg.run_resumable(corpus_dir, out_a, num_shards=3, partitions_per_shard=2)
+    kg.run_full(corpus_dir, out_a, num_shards=3, partitions_per_shard=2)
 
-    with pytest.raises(RuntimeError, match="injected failure"):
-        kg.run_resumable(corpus_dir, out_b, num_shards=3,
-                         partitions_per_shard=2, fail_after_shards=1)
+    crash_at("shard_manifest_00000.json", "after")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        kg.run_full(corpus_dir, out_b, num_shards=3, partitions_per_shard=2)
     assert len(kg.completed_shards(out_b)) == 1
-    m = kg.run_resumable(corpus_dir, out_b, num_shards=3, partitions_per_shard=2)
+    m = kg.run_full(corpus_dir, out_b, num_shards=3, partitions_per_shard=2)
     assert m["shards_skipped"] == 1 and m["shards_run"] == 2
 
     rows_a = sorted(map(tuple, kg.read_output(out_a).to_pandas().values.tolist()))

@@ -3,6 +3,7 @@ skew stress."""
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import time
@@ -41,6 +42,59 @@ def test_run_full_phases_and_resume(ray_session, corpus_dir, tmp_path):
     assert m2["final_rows"] == m1["final_rows"]
     assert m2["triples"] == 0  # nothing re-ran
     assert m2["wall_sec"] < m1["wall_sec"]
+
+
+# near-label subjects merge under this config, so phase 2 rewrites the
+# triples into final/ (test_canonical_merge_path.py uses the same one)
+MERGE_CFG = dict(fuzzy_min_confidence=0.45, minhash_bands=16)
+
+
+def _data_files(out: str) -> dict[str, bytes]:
+    """Relative path → bytes of every partition data file under the
+    phase-1 shards and ``final/`` (manifests carry ``completed_at``)."""
+    files = {}
+    for pat in ("shard=*/part=*/*.parquet", "final/part=*/*.parquet"):
+        for f in glob.glob(os.path.join(out, pat)):
+            with open(f, "rb") as fh:
+                files[os.path.relpath(f, out)] = fh.read()
+    return files
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(corpus_dir, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("uninterrupted"))
+    m = kg.run_full(corpus_dir, out, cfg=PipelineConfig(**MERGE_CFG),
+                    num_shards=2, partitions_per_shard=2)
+    assert m["merged_uris"] > 0
+    files = _data_files(out)
+    assert any(f.startswith("final") for f in files)
+    return files
+
+
+@pytest.mark.parametrize("manifest,when,skipped", [
+    ("index_manifest.json", "before", 0),
+    ("index_manifest.json", "after", 0),
+    ("shard_manifest_00000.json", "before", 0),
+    ("shard_manifest_00000.json", "after", 1),
+    ("final_manifest.json", "before", 2),
+    ("final_manifest.json", "after", 2),
+], ids=["index-before", "index-after", "shard0-before", "shard0-after",
+        "final-before", "final-after"])
+def test_resume_at_every_commit(ray_session, corpus_dir, uninterrupted,
+                                tmp_path, crash_at, manifest, when, skipped):
+    """A run killed just before or just after each commit — the index
+    manifest, shard 0's manifest, the final manifest — resumes to partition
+    data files byte-identical to an uninterrupted run's."""
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(**MERGE_CFG)
+    crash_at(manifest, when)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        kg.run_full(corpus_dir, out, cfg=cfg, num_shards=2,
+                    partitions_per_shard=2)
+    m = kg.run_full(corpus_dir, out, cfg=cfg, num_shards=2,
+                    partitions_per_shard=2)
+    assert m["shards_skipped"] == skipped
+    assert _data_files(out) == uninterrupted
 
 
 def test_edges_carry_entity_type(ray_session, corpus_dir, tmp_path):

@@ -1,15 +1,20 @@
 """SIGKILL-mid-run resume demo (operability evidence at bench scale).
 
-The pytest resume coverage injects a clean Python exception
-(``fail_after_shards``); this demo kills the WHOLE driver process group with
-SIGKILL while a shard is mid-materialize — no atexit, no finally blocks, no
-Ray shutdown — then resumes in a fresh process and proves:
+The pytest resume coverage raises a clean Python exception at a commit
+(the ``crash_at`` fixture); this demo kills the WHOLE ``run_full`` driver
+process group with SIGKILL while a shard is mid-flight — no atexit, no
+finally blocks, no Ray shutdown — then resumes in a fresh process and
+proves:
 
   * committed shard manifests survive and are skipped on resume
     (``shards_skipped`` > 0, the in-flight shard is recomputed);
-  * the final triple set is row-identical (count + order-insensitive
-    row hash via DuckDB) to an uninterrupted clean run;
+  * the final triple set (``final/`` when phase 2 merged URIs, else the
+    phase-1 partitions) is row-identical (count + order-insensitive row
+    hash via DuckDB) to an uninterrupted clean run;
   * no transient state (``_runs`` staging dirs, ``*.tmp``) remains.
+
+The Ray session gets one CPU slot per core this process may run on.  The
+two output directories go under ``tempfile.gettempdir()`` (``TMPDIR``).
 
 Usage:  python tools/kill_resume_demo.py
 Prints one JSON verdict line; exit code 0 iff all assertions hold.
@@ -23,31 +28,33 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = "/tmp/graft_pages_sf0.1_20000"
-OUT_A = "/tmp/graft_killdemo_clean"
-OUT_B = "/tmp/graft_killdemo_killed"
+OUT_A = os.path.join(tempfile.gettempdir(), "graft_killdemo_clean")
+OUT_B = os.path.join(tempfile.gettempdir(), "graft_killdemo_killed")
 NUM_SHARDS = 6
+CPUS = len(os.sched_getaffinity(0))
 
 _CHILD = """
 import json, sys
 import ray
-ray.init(address="local", num_cpus=16, include_dashboard=False)
+ray.init(address="local", num_cpus={cpus}, include_dashboard=False)
 from mannheimsearchjoinsengine_ray.pipelines import kg
-m = kg.run_resumable(sys.argv[1], sys.argv[2], num_shards={ns},
-                     partitions_per_shard=4)
+m = kg.run_full(sys.argv[1], sys.argv[2], num_shards={ns},
+                partitions_per_shard=4)
 print("METRICS " + json.dumps(m), flush=True)
 ray.shutdown()
-""".format(ns=NUM_SHARDS)
+""".format(cpus=CPUS, ns=NUM_SHARDS)
 
 
 def _ensure_corpus() -> None:
     if os.path.exists(CORPUS + ".complete"):
         return
     code = (
-        "import ray; ray.init(address='local', num_cpus=16,"
+        f"import ray; ray.init(address='local', num_cpus={CPUS},"
         " include_dashboard=False)\n"
         "from mannheimsearchjoinsengine_ray.sources.pages import write_corpus\n"
         f"write_corpus({CORPUS!r}, n_pages=20000, seed=42)\n"
@@ -72,9 +79,17 @@ def _metrics(p: subprocess.Popen) -> dict:
     raise RuntimeError(f"child exited rc={p.returncode} with no METRICS line")
 
 
+def _layout(out_dir: str) -> str:
+    with open(os.path.join(out_dir, "final_manifest.json")) as fh:
+        return json.load(fh)["layout"]
+
+
 def _checksum(out_dir: str) -> tuple[int, int]:
+    """Row count and row hash of the run's final triple set."""
     import duckdb
-    pat = os.path.join(out_dir, "shard=*", "part=*", "*.parquet")
+    pat = os.path.join(out_dir, "final", "part=*", "*.parquet") \
+        if _layout(out_dir) == "final" \
+        else os.path.join(out_dir, "shard=*", "part=*", "*.parquet")
     # hash of the row value: a NULL field still contributes (a ``||``
     # concatenation would turn the whole row NULL and drop it from the sum)
     n, h = duckdb.sql(
@@ -125,7 +140,9 @@ def main() -> int:
 
     verdict = {
         "metric": "kill_resume_demo",
+        "cpus": CPUS,
         "shards": NUM_SHARDS,
+        "layout": _layout(OUT_B),
         "committed_before_kill": committed_at_kill,
         "shards_skipped_on_resume": resumed["shards_skipped"],
         "shards_rerun": resumed["shards_run"],
@@ -137,6 +154,7 @@ def main() -> int:
         "clean_sec": round(t_clean, 2),
         "resume_sec": round(t_resume, 2),
         "ok": (n_a == n_b and h_a == h_b and not transients
+               and _layout(OUT_A) == _layout(OUT_B)
                and resumed["shards_skipped"] >= 2
                and committed_at_kill < NUM_SHARDS),
     }
