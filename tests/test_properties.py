@@ -22,11 +22,40 @@ text_strategy = st.text(
 def test_simple_normalization_reaches_fixpoint(s):
     # NOT single-step idempotent by reference design: the empty→"null"
     # substitution happens BEFORE the final trim (ConvertFileToTable.java:
-    # 1345-1349), so whitespace-only input maps ' '→''→'null'.  The chain
-    # must stabilize by the second application.
+    # 1345-1349), so whitespace-only input maps ' '→''→'null'.  When the
+    # first application leaves no Java escape to decode, the chain must
+    # stabilize by the second application.  An escape that survives it
+    # (lowercasing makes the invalid '\R' the valid '\r'; the nested
+    # '\u005cu0041' decodes to '\u0041', then to 'a') is decoded one
+    # layer per application, as in the reference — see the two tests below.
     once = normalize.simple_string_normalization(s)
+    assume(normalize.unescape_java(once) == once)
     twice = normalize.simple_string_normalization(once)
     assert normalize.simple_string_normalization(twice) == twice
+
+
+def test_simple_normalization_decodes_case_made_escape_next_pass():
+    chain = ["\\R"]
+    for _ in range(4):
+        chain.append(normalize.simple_string_normalization(chain[-1]))
+    # '\R' is no escape, so it survives decoding; lowercasing turns it into
+    # '\r', which the next pass decodes to a carriage return and trims
+    assert chain == ["\\R", "\\r", "", "null", "null"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="\\uU005cCrRnN0041 x", max_size=40))
+def test_simple_normalization_fixpoint_with_escapes(s):
+    # each pass that still decodes an escape shortens the value (an escape
+    # is 2-6 characters, its decoding one), so the chain stabilizes within
+    # len(s) + 3 applications
+    value = s
+    for _ in range(len(s) + 3):
+        nxt = normalize.simple_string_normalization(value)
+        if nxt == value:
+            return
+        value = nxt
+    pytest.fail(f"no fixpoint after {len(s) + 3} applications: {s!r}")
 
 
 @settings(max_examples=300, deadline=None)
