@@ -51,9 +51,41 @@ class MinHasher:
 
     def signatures(self, docs_token_hashes: list[np.ndarray]) -> np.ndarray:
         """list of per-doc token-hash arrays → (n_docs, num_perm) matrix."""
-        if not docs_token_hashes:
-            return np.empty((0, self.num_perm), dtype=np.uint64)
-        return np.stack([self.signature(h) for h in docs_token_hashes])
+        lengths = np.fromiter((len(h) for h in docs_token_hashes), np.int64,
+                              count=len(docs_token_hashes))
+        flat = [h for h in docs_token_hashes if len(h)]
+        return self.signatures_flat(
+            np.concatenate(flat) if flat else np.empty(0, dtype=np.uint64),
+            lengths)
+
+    def signatures_flat(self, token_hashes: np.ndarray,
+                        lengths: np.ndarray) -> np.ndarray:
+        """Every document's token hashes back to back (document i holds the
+        next ``lengths[i]``) → (n_docs, num_perm) matrix, row i equal to
+        ``signature`` of document i.  Documents go in slices of at most
+        max(n_docs, longest document) tokens, so a slice's (tokens ×
+        num_perm) temporary is no larger than the output, or than
+        ``signature``'s temporary for a document longer than the list."""
+        n = len(lengths)
+        out = np.full((n, self.num_perm), np.iinfo(np.uint64).max,
+                      dtype=np.uint64)
+        if n == 0:
+            return out
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        cap = max(n, int(lengths.max()))
+        i = 0
+        while i < n:
+            j = int(np.searchsorted(ends, starts[i] + cap, side="right"))
+            docs = i + np.flatnonzero(lengths[i:j])
+            if len(docs):
+                lo = starts[i]
+                vals = token_hashes[lo:ends[j - 1], None] * self.a[None, :] \
+                    + self.b[None, :]
+                out[docs] = np.minimum.reduceat(vals, starts[docs] - lo,
+                                                axis=0)
+            i = j
+        return out
 
 
 def band_keys(signatures: np.ndarray, num_bands: int) -> np.ndarray:

@@ -26,6 +26,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from ..config import NULL_VALUE
 
 # ---------------------------------------------------------------------------
@@ -392,3 +396,46 @@ def capitalize_words(value: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+# the ASCII characters ``str.isspace`` accepts: \t \n \v \f \r, \x1c-\x1f
+# and the space
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+
+def capitalize_words_array(values):
+    """:func:`capitalize_words` over an Arrow string array (or chunked array)
+    in one pass.  ASCII values are a numpy pass over the data buffer: a byte
+    ``a``-``z`` is uppercased when it is the first byte of its value or
+    follows an ASCII whitespace byte.  Non-ASCII values go through
+    :func:`capitalize_words`, which stays the definition (``'ß'.upper()`` is
+    ``'SS'``, and ``str.isspace`` accepts non-ASCII spaces)."""
+    if isinstance(values, pa.ChunkedArray):
+        return pa.chunked_array(
+            [capitalize_words_array(c) for c in values.chunks], values.type)
+    if values.offset:
+        # a sliced array: its buffers re-based so the offsets index them
+        values = pa.concat_arrays([values])
+    validity, offsets_buf, data_buf = values.buffers()
+    n = len(values)
+    offsets = np.frombuffer(
+        offsets_buf, count=n + 1,
+        dtype=np.int64 if pa.types.is_large_string(values.type) else np.int32)
+    end = int(offsets[-1]) if n else 0
+    if end == 0:
+        return values
+    data = np.frombuffer(data_buf, dtype=np.uint8, count=end).copy()
+    word_start = np.zeros(end, dtype=bool)
+    word_start[offsets[:-1][offsets[:-1] < end]] = True
+    word_start[1:] |= _ASCII_SPACE[data[:-1]]
+    data[word_start & (data >= 0x61) & (data <= 0x7A)] -= 0x20
+    out = pa.Array.from_buffers(values.type, n,
+                                [validity, offsets_buf, pa.py_buffer(data)],
+                                values.null_count)
+    non_ascii = pc.invert(pc.fill_null(pc.string_is_ascii(values), True))
+    if pc.any(non_ascii).as_py():
+        out = pc.replace_with_mask(out, non_ascii, pa.array(
+            [capitalize_words(v) for v in values.filter(non_ascii).to_pylist()],
+            values.type))
+    return out

@@ -504,19 +504,16 @@ def _edges_pass(batch: pa.Table, shard_dir: str, fs=None) -> pa.Table:
     return _side_files([("edges", link.rank0(batch))], shard_dir, fs)
 
 
-def _canonical_split(path: str, mapping: dict, split_write,
-                     fs=None) -> pa.Table:
+def _canonical_split(path: str, mapping: tuple[pa.Array, pa.Array],
+                     split_write, fs=None) -> pa.Table:
     """Phase 2's pass over one phase-1 partition file: its triples with
-    their URIs rewritten through the canonical ``mapping``, through stage A
-    of the final materialize (``split_write``) → the split's commit rows.
-    The file goes to pandas and back the way Ray Data converts blocks."""
-    from ray.data.block import BlockAccessor
-
+    their URIs rewritten through the canonical ``mapping`` ((uri, canon)
+    arrays, ``canonicalize.mapping_arrays``), through stage A of the final
+    materialize (``split_write``) → the split's commit rows."""
     from ..stages import canonicalize
 
-    df = BlockAccessor.for_block(fsio.read_parquet(fs, path)).to_pandas()
-    return split_write(BlockAccessor.for_block(
-        canonicalize.rewrite_uris(df, mapping)).to_arrow())
+    return split_write(canonicalize.rewrite_uris(fsio.read_parquet(fs, path),
+                                                 mapping))
 
 
 def _records(tables: list[pa.Table]) -> list[dict]:
@@ -717,6 +714,7 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
             alias_edges_from_labels,
             alias_edges_local,
             apply_canonical_mapping,
+            mapping_arrays,
             mapping_ds_from_edges,
             mapping_from_edges,
         )
@@ -726,6 +724,8 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
         mapping: "dict | object" = {}
         n_merged = 0
         if canonicalize:
+            # labels: list + read the label pairs, block, CC, build the mapping
+            t_labels = time.time()
             label_files: list[str] = []
             for si in sorted(completed_shards(out_dir, fs)):
                 d = os.path.join(out_dir, f"shard={si:05d}", "labels")
@@ -753,6 +753,7 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                         rd.read_parquet(label_files, filesystem=fs), cfg)
                     mapping = mapping_ds_from_edges(edges_ds, cfg).materialize()
                     n_merged = mapping.count()
+            metrics["labels_sec"] = time.time() - t_labels
         if n_merged:
             if isinstance(mapping, dict) and \
                     len(mapping) <= MAPPING_BROADCAST_LIMIT:
@@ -764,8 +765,8 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                 part_stats = _merge_runs(
                     _records(run_blocks(
                         _canonical_split, output_files(out_dir, fs),
-                        dict(mapping=mapping, split_write=split_write,
-                             fs=fs))),
+                        dict(mapping=mapping_arrays(mapping),
+                             split_write=split_write, fs=fs))),
                     final_dir, runs_dir, "phase2", split_rows=None, fs=fs)
             else:
                 triples_all = read_output(out_dir, fs)

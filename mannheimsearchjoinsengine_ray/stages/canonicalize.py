@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, PipelineConfig, StringResolution, NumericResolution
 from ..functions.hashing import MinHasher, band_keys, hash64
@@ -51,18 +52,19 @@ class LshBlocker:
         self.num_bands = num_bands
         self.shingle_tokens = shingle_tokens
 
-    def _token_hashes(self, name: str) -> np.ndarray:
+    def _tokens(self, name: str) -> list[str]:
         toks = tokenize_string(name, remove_brackets=True)
         if self.shingle_tokens:
-            items = toks if toks else [name]
-        else:
-            items = [name[i:i + 3] for i in range(max(1, len(name) - 2))]
-        return hash64(items)
+            return toks if toks else [name]
+        return [name[i:i + 3] for i in range(max(1, len(name) - 2))]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         names = batch.column("name")
-        sigs = self.mh.signatures([self._token_hashes(n or "")
-                                   for n in names.to_pylist()])
+        docs = [self._tokens(n or "") for n in names.to_pylist()]
+        # every name's tokens hashed in one call, signatures over the flat form
+        sigs = self.mh.signatures_flat(
+            hash64([t for d in docs for t in d]),
+            np.fromiter(map(len, docs), np.int64, count=len(docs)))
         return band_rows(batch.column("id"), band_keys(sigs, self.num_bands),
                          name=names)
 
@@ -686,16 +688,32 @@ def build_canonical_mapping(triples_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
 MAPPING_BROADCAST_LIMIT = 5_000_000
 
 
-def rewrite_uris(df: pd.DataFrame, mapping) -> pd.DataFrame:
+def mapping_arrays(mapping: dict) -> tuple[pa.Array, pa.Array]:
+    """The sameAs ``mapping`` dict as (uri, canon) Arrow arrays, the form
+    :func:`rewrite_uris` takes: built once on the driver."""
+    return (pa.array(list(mapping), pa.string()),
+            pa.array(list(mapping.values()), pa.string()))
+
+
+def rewrite_uris(table: pa.Table, mapping: tuple[pa.Array, pa.Array]
+                 ) -> pa.Table:
     """Triples with ``subj`` and the uri-typed ``obj`` values rewritten
-    through the sameAs ``mapping`` dict; unmapped URIs stay as they are."""
-    mapped = df["subj"].map(mapping)
-    df["subj"] = mapped.where(mapped.notna(), df["subj"])
-    is_uri = df["obj_type"] == "uri"
-    if is_uri.any():
-        mo = df.loc[is_uri, "obj"].map(mapping)
-        df.loc[is_uri, "obj"] = mo.where(mo.notna(), df.loc[is_uri, "obj"])
-    return df
+    through the (uri, canon) ``mapping`` arrays; unmapped URIs stay as they
+    are."""
+    uris, canon = mapping
+
+    def rewritten(col, where=None):
+        idx = pc.index_in(col, value_set=uris)
+        if where is not None:
+            idx = pc.if_else(where, idx, pa.scalar(None, idx.type))
+        return pc.coalesce(pc.take(canon, idx), col)
+
+    table = table.set_column(table.schema.get_field_index("subj"), "subj",
+                             rewritten(table.column("subj")))
+    return table.set_column(
+        table.schema.get_field_index("obj"), "obj",
+        rewritten(table.column("obj"),
+                  pc.equal(table.column("obj_type"), "uri")))
 
 
 def apply_canonical_mapping(triples_ds, mapping,
@@ -713,10 +731,10 @@ def apply_canonical_mapping(triples_ds, mapping,
         if not mapping:
             return triples_ds
         if len(mapping) <= broadcast_limit:
-            map_ref = ray.put(mapping)
+            map_ref = ray.put(mapping_arrays(mapping))
             return triples_ds.map_batches(
-                lambda df: rewrite_uris(df, ray.get(map_ref)),
-                batch_format="pandas")
+                lambda t: rewrite_uris(t, ray.get(map_ref)),
+                batch_format="pyarrow")
         mapping = rd.from_pandas(pd.DataFrame(
             {"uri": list(mapping.keys()), "canon": list(mapping.values())}))
     return apply_canonical_mapping_join(triples_ds, mapping, bucket_count)

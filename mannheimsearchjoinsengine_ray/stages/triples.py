@@ -23,15 +23,34 @@ the text sink):
     reference's literal "null" lines).
 
 Divergences (documented per SURVEY §2.6): none material to (s,p,o) content.
+
+The reference triplifies one cell at a time; here a batch of table records
+is triplified set-at-a-time over its Arrow columns.  ``rows`` is flattened
+twice (table → row → cell) and the key cell of each row taken by position;
+the key and object filters, the "http" test and the URI building are
+compute kernels, and the capitalization is ``capitalize_words_array`` (a
+numpy pass over ASCII values' bytes; the scalar ``capitalize_words`` only
+for non-ASCII values).  Predicate URIs and literal tags are computed once
+per distinct header and column type.  Every output row's position is
+computed up front (per table: each key row's type, label and cells, then
+the declarations), so each output column is ONE ``take``.  The label pairs
+share the key-row and header step and skip the cells.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.normalize import capitalize_words, get_human_header
+from ..functions.normalize import (
+    capitalize_words,
+    capitalize_words_array,
+    get_human_header,
+)
 
 NS = "http://table.searchjoins.de/"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -54,6 +73,7 @@ TRIPLE_SCHEMA = pa.schema([
     ("obj_type", pa.string()),
     ("source_url", pa.string()),
 ])
+LABEL_SCHEMA = pa.schema([("id", pa.string()), ("name", pa.string())])
 
 
 def subject_uri(normalized_key: str) -> str:
@@ -64,117 +84,237 @@ def predicate_uri(clean_header: str) -> str:
     return NS + _BRACKETS_RE.sub("", get_human_header(clean_header).replace(" ", ""))
 
 
+_NO_KEY = pa.array(["", "null", "string"])
+_NO_OBJECT = pa.array(["", "null"])
+_DECL_TYPES = pa.array([OWL_CLASS, OWL_DATATYPE_PROPERTY])
+
+
+def _ranks(sizes: np.ndarray) -> np.ndarray:
+    """Position of every element within its group, for consecutive groups
+    of ``sizes`` elements (a flattened list column: position in its list)."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes,
+                                                   sizes)
+
+
+def _lengths(lists) -> np.ndarray:
+    return pc.fill_null(pc.list_value_length(lists), 0).to_numpy() \
+        .astype(np.int64)
+
+
+def _present(values: pa.Array, absent: pa.Array) -> np.ndarray:
+    """Mask of the values that are neither null nor one of ``absent``."""
+    return ~(values.is_null().to_numpy(zero_copy_only=False)
+             | pc.is_in(values, value_set=absent).to_numpy(
+                 zero_copy_only=False))
+
+
+def _uris(caps: pa.Array) -> pa.Array:
+    """NS + each capitalized value without its spaces."""
+    return pc.binary_join_element_wise(NS, pc.replace_substring(caps, " ", ""),
+                                       "")
+
+
+class _Keyed(NamedTuple):
+    """The key rows and declared headers of a table-record batch, the part
+    the triples and the label pairs share.  A table counts when it has a
+    key; a key row is a row of such a table whose key cell is not null,
+    ``""``, ``"null"`` or ``"string"``; a table with a key row declares its
+    headers: the key header (its class) first, then the others in column
+    order.  Reads ``headers``, ``key_idx``, ``has_key`` and ``rows``."""
+    key_idx: np.ndarray     # per table, -1 when it has none
+    hdr_len: np.ndarray     # per table
+    hdr_start: np.ndarray   # per table: its first header's flat index
+    headers: pa.Array       # every header, flattened
+    row_len: np.ndarray     # per flattened row
+    cells: pa.Array         # every cell, flattened
+    key_row: np.ndarray     # flattened row index of each key row
+    key_table: np.ndarray   # table of each key row (ascending)
+    key_cap: pa.Array       # capitalized key cell of each key row
+    subj: pa.Array          # subject URI of each key row
+    tables: np.ndarray      # the tables with a key row (ascending)
+    decl_table: np.ndarray  # table of each declared header (ascending)
+    decl_rank: np.ndarray   # its place in its table's declarations
+    decl_cap: pa.Array      # capitalized header
+    decl_uri: pa.Array      # class or property URI
+
+
+def _keyed(batch: pa.Table) -> _Keyed:
+    key_idx = pc.fill_null(batch.column("key_idx"), -1).to_numpy() \
+        .astype(np.int64)
+    has_key = pc.fill_null(batch.column("has_key"), False).to_numpy()
+    headers = batch.column("headers").combine_chunks()
+    hdr_len = _lengths(headers)
+    keyed_table = has_key & (key_idx >= 0) & (key_idx < hdr_len)
+    rows = batch.column("rows").combine_chunks()
+    row_table = np.repeat(np.arange(len(rows)), _lengths(rows))
+    row_lists = pc.list_flatten(rows)
+    row_len = _lengths(row_lists)
+    cells = pc.list_flatten(row_lists)
+
+    kt = key_idx[row_table]
+    cand = np.flatnonzero(keyed_table[row_table] & (kt < row_len))
+    key_vals = cells.take(np.cumsum(row_len)[cand] - row_len[cand] + kt[cand])
+    ok = _present(key_vals, _NO_KEY)
+    key_row = cand[ok]
+    key_table = row_table[key_row]
+    key_cap = capitalize_words_array(key_vals.filter(pa.array(ok)))
+    tables = np.unique(key_table)
+
+    has_rows = np.zeros(len(key_idx), dtype=bool)
+    has_rows[tables] = True
+    hdr_table = np.repeat(np.arange(len(hdr_len)), hdr_len)
+    hdr_col = _ranks(hdr_len)
+    sel = np.flatnonzero(has_rows[hdr_table])
+    decl = sel[np.lexsort((hdr_col[sel],
+                           hdr_col[sel] != key_idx[hdr_table[sel]],
+                           hdr_table[sel]))]
+    flat_headers = pc.list_flatten(headers)
+    decl_cap = capitalize_words_array(flat_headers.take(decl))
+    return _Keyed(
+        key_idx=key_idx, hdr_len=hdr_len, hdr_start=np.cumsum(hdr_len) - hdr_len,
+        headers=flat_headers, row_len=row_len, cells=cells,
+        key_row=key_row, key_table=key_table, key_cap=key_cap,
+        subj=_uris(key_cap), tables=tables, decl_table=hdr_table[decl],
+        decl_rank=_ranks(hdr_len[tables]), decl_cap=decl_cap,
+        decl_uri=_uris(decl_cap))
+
+
+def _layout(k: _Keyed, row_size: np.ndarray,
+            block_size: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where each key row's output and each table's declaration block start
+    when every table emits its key rows (``row_size`` rows each) and then
+    its block (``block_size`` rows per table of ``k.tables``) → (row
+    starts, block starts, total rows)."""
+    table = np.concatenate([k.key_table, k.tables])
+    kind = np.repeat([0, 1], [len(k.key_table), len(k.tables)])
+    order = np.lexsort((kind, table))  # stable: key rows keep their order
+    size = np.concatenate([row_size, block_size]).astype(np.int64)[order]
+    start = np.empty(len(table), dtype=np.int64)
+    start[order] = np.cumsum(size) - size
+    return start[:len(k.key_table)], start[len(k.key_table):], int(size.sum())
+
+
+class _Columns:
+    """Output columns assembled by position: a column's rows come from
+    several source arrays, and the column is ONE ``take`` from their
+    concatenation."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.parts: dict[str, list] = {}
+
+    def put(self, pos: np.ndarray, **cols) -> None:
+        """Rows ``pos`` of each named column: a constant string, an array
+        of len(pos) values, or (source array, indices into it)."""
+        for name, v in cols.items():
+            if isinstance(v, str):
+                v = (pa.array([v]), np.zeros(len(pos), dtype=np.int64))
+            elif not isinstance(v, tuple):
+                v = (v, np.arange(len(v)))
+            self.parts.setdefault(name, []).append((pos, *v))
+
+    def table(self, schema: pa.Schema) -> pa.Table:
+        cols = []
+        for name in schema.names:
+            idx = np.empty(self.n, dtype=np.int64)
+            base, sources = 0, []
+            for pos, values, take in self.parts[name]:
+                idx[pos] = base + take
+                base += len(values)
+                sources.append(values)
+            cols.append(pa.concat_arrays(sources).take(idx))
+        return pa.Table.from_arrays(cols, schema=schema)
+
+
+def _per_distinct(values: pa.Array, fn) -> tuple[pa.Array, np.ndarray]:
+    """``fn`` once per distinct value → (results, index of each value's
+    result)."""
+    enc = pc.dictionary_encode(values)
+    return (pa.array([fn(v) for v in enc.dictionary.to_pylist()], pa.string()),
+            enc.indices.to_numpy(zero_copy_only=False).astype(np.int64))
+
+
 def triples_from_tables_batch(batch: pa.Table) -> pa.Table:
-    """Table-record batch (stages.extract._TABLE_RECORD_SCHEMA) → triples."""
-    cols = {name: [] for name in TRIPLE_SCHEMA.names}
-    s_out, p_out, o_out, t_out, u_out = (
-        cols["subj"], cols["pred"], cols["obj"], cols["obj_type"], cols["source_url"],
-    )
+    """Table-record batch (stages.extract._TABLE_RECORD_SCHEMA) → triples,
+    per table: each key row's rdf:type, rdfs:label and cell triples, then
+    the class and property declarations."""
+    k = _keyed(batch)
+    if not len(k.key_row):
+        return TRIPLE_SCHEMA.empty_table()
+    urls = batch.column("url").combine_chunks()
+    # the non-key cells of the key rows that hold a value
+    ordinal = np.full(len(k.row_len), -1)
+    ordinal[k.key_row] = np.arange(len(k.key_row))
+    cell_row = np.repeat(np.arange(len(k.row_len)), k.row_len)
+    cell_col = _ranks(k.row_len)
+    cell_key = ordinal[cell_row]
+    cand = np.flatnonzero(cell_key >= 0)
+    cand = cand[cell_col[cand] != k.key_idx[k.key_table[cell_key[cand]]]]
+    vals = k.cells.take(cand)
+    ok = _present(vals, _NO_OBJECT)
+    cand, vals = cand[ok], vals.filter(pa.array(ok))
+    c_key = cell_key[cand]
+    c_table = k.key_table[c_key]
+    if (cell_col[cand] >= k.hdr_len[c_table]).any():
+        raise ValueError("a table row holds more cells than its headers")
+    n_cells = np.bincount(c_key, minlength=len(k.key_row))
 
-    urls = batch.column("url").to_pylist()
-    headers_col = batch.column("headers").to_pylist()
-    types_col = batch.column("col_types").to_pylist()
-    key_idx_col = batch.column("key_idx").to_pylist()
-    has_key_col = batch.column("has_key").to_pylist()
-    rows_col = batch.column("rows").to_pylist()
+    blocks = k.hdr_len[k.tables]
+    row_at, block_at, n = _layout(k, 2 + n_cells, 2 * blocks)
+    out = _Columns(n)
+    classes = np.flatnonzero(k.decl_rank == 0)  # one per table of k.tables
+    out.put(row_at, subj=k.subj, pred=RDF_TYPE, obj_type="uri",
+            obj=(k.decl_uri, classes[np.searchsorted(k.tables, k.key_table)]),
+            source_url=(urls, k.key_table))
+    out.put(row_at + 1, subj=k.subj, pred=RDFS_LABEL, obj=k.key_cap,
+            obj_type="string", source_url=(urls, k.key_table))
 
-    for url, headers, col_types, key_idx, has_key, rows in zip(
-        urls, headers_col, types_col, key_idx_col, has_key_col, rows_col
-    ):
-        if not has_key or key_idx < 0:
-            continue
-        key_header = headers[key_idx]
-        class_label = capitalize_words(key_header)
-        class_uri = NS + class_label.replace(" ", "")
+    # cell triples: predicate and literal tag per header, any object holding
+    # "http" a URI, every other object capitalized
+    c_pos = row_at[c_key] + 2 + _ranks(n_cells)
+    c_hdr = k.hdr_start[c_table] + cell_col[cand]
+    preds, pred_of = _per_distinct(k.headers, predicate_uri)
+    tags, tag_of = _per_distinct(
+        pc.list_flatten(batch.column("col_types").combine_chunks()),
+        lambda t: _TYPE_TO_OBJ_TYPE.get(t, "string"))
+    out.put(c_pos, subj=(k.subj, c_key), pred=(preds, pred_of[c_hdr]),
+            source_url=(urls, c_table))
+    http = pc.match_substring(vals, "http").to_numpy(zero_copy_only=False)
+    out.put(c_pos[http], obj=(vals, np.flatnonzero(http)), obj_type="uri")
+    lit = ~http
+    out.put(c_pos[lit], obj=capitalize_words_array(vals.filter(pa.array(lit))),
+            obj_type=(tags, tag_of[c_hdr[lit]]))
 
-        # precompute per-column predicate URIs + literal tags once per table
-        # (the reference recomputes these per cell — hot-path no-no)
-        preds = [predicate_uri(h) for h in headers]
-        tags = [_TYPE_TO_OBJ_TYPE.get(t, "string") for t in col_types]
-
-        seen_key = False
-        for row in rows:
-            key_norm = row[key_idx]
-            if key_norm in ("", "null", "string") or key_norm is None:
-                continue
-            seen_key = True
-            # capitalize once per key cell — subject_uri and the rdfs:label
-            # object share the same capitalized form
-            key_cap = capitalize_words(key_norm)
-            subj = NS + key_cap.replace(" ", "")
-            s_out.append(subj); p_out.append(RDF_TYPE)
-            o_out.append(class_uri); t_out.append("uri"); u_out.append(url)
-            s_out.append(subj); p_out.append(RDFS_LABEL)
-            o_out.append(key_cap); t_out.append("string"); u_out.append(url)
-            for ci, obj in enumerate(row):
-                if ci == key_idx or obj is None or obj in ("", "null"):
-                    continue
-                s_out.append(subj); p_out.append(preds[ci]); u_out.append(url)
-                if "http" in obj:
-                    o_out.append(obj); t_out.append("uri")
-                else:
-                    o_out.append(capitalize_words(obj)); t_out.append(tags[ci])
-
-        if seen_key:
-            s_out.append(class_uri); p_out.append(RDF_TYPE)
-            o_out.append(OWL_CLASS); t_out.append("uri"); u_out.append(url)
-            s_out.append(class_uri); p_out.append(RDFS_LABEL)
-            o_out.append(class_label); t_out.append("string"); u_out.append(url)
-            for ci, h in enumerate(headers):
-                if ci == key_idx:
-                    continue
-                h_cap = capitalize_words(h)
-                prop = NS + h_cap.replace(" ", "")
-                s_out.append(prop); p_out.append(RDF_TYPE)
-                o_out.append(OWL_DATATYPE_PROPERTY); t_out.append("uri"); u_out.append(url)
-                s_out.append(prop); p_out.append(RDFS_LABEL)
-                o_out.append(h_cap); t_out.append("string"); u_out.append(url)
-
-    return pa.Table.from_pydict(cols, schema=TRIPLE_SCHEMA)
+    # declarations: the class, then each property, as rdf:type + rdfs:label
+    d_pos = block_at[np.searchsorted(k.tables, k.decl_table)] \
+        + 2 * k.decl_rank
+    out.put(d_pos, subj=k.decl_uri, pred=RDF_TYPE, obj_type="uri",
+            obj=(_DECL_TYPES, (k.decl_rank > 0).astype(np.int64)),
+            source_url=(urls, k.decl_table))
+    out.put(d_pos + 1, subj=k.decl_uri, pred=RDFS_LABEL, obj=k.decl_cap,
+            obj_type="string", source_url=(urls, k.decl_table))
+    return out.table(TRIPLE_SCHEMA)
 
 
 def label_pairs_from_tables_batch(batch: pa.Table) -> pa.Table:
     """Table records → distinct (id, name) label pairs — exactly the
-    (subj, rdfs:label obj) pairs ``triples_from_tables_batch`` emits, produced
-    as a cheap SIDE OUTPUT during phase 1 so canonicalization never has to
-    re-scan the full triple set to find labels."""
-    ids: list[str] = []
-    names: list[str] = []
-    seen: set[str] = set()
-
-    def emit(uri: str, name: str) -> None:
-        if uri not in seen:
-            seen.add(uri)
-            ids.append(uri)
-            names.append(name)
-
-    headers_col = batch.column("headers").to_pylist()
-    key_idx_col = batch.column("key_idx").to_pylist()
-    has_key_col = batch.column("has_key").to_pylist()
-    rows_col = batch.column("rows").to_pylist()
-    for headers, key_idx, has_key, rows in zip(
-        headers_col, key_idx_col, has_key_col, rows_col
-    ):
-        if not has_key or key_idx < 0:
-            continue
-        key_header = headers[key_idx]
-        seen_key = False
-        for row in rows:
-            key_norm = row[key_idx]
-            if key_norm in ("", "null", "string") or key_norm is None:
-                continue
-            seen_key = True
-            key_cap = capitalize_words(key_norm)
-            emit(NS + key_cap.replace(" ", ""), key_cap)
-        if seen_key:
-            kh_cap = capitalize_words(key_header)
-            emit(NS + kh_cap.replace(" ", ""), kh_cap)
-            for ci, h in enumerate(headers):
-                if ci != key_idx:
-                    h_cap = capitalize_words(h)
-                    emit(NS + h_cap.replace(" ", ""), h_cap)
-    return pa.table({"id": pa.array(ids, pa.string()),
-                     "name": pa.array(names, pa.string())})
+    (subj, rdfs:label obj) pairs ``triples_from_tables_batch`` emits, first
+    seen first, produced as a cheap SIDE OUTPUT during phase 1 so
+    canonicalization never has to re-scan the full triple set to find
+    labels."""
+    k = _keyed(batch)
+    row_at, block_at, n = _layout(k, np.ones(len(k.key_row), dtype=np.int64),
+                                  k.hdr_len[k.tables])
+    out = _Columns(n)
+    out.put(row_at, id=k.subj, name=k.key_cap)
+    out.put(block_at[np.searchsorted(k.tables, k.decl_table)] + k.decl_rank,
+            id=k.decl_uri, name=k.decl_cap)
+    pairs = out.table(LABEL_SCHEMA)
+    # dictionary codes number the ids in first-seen order
+    codes = pc.dictionary_encode(pairs.column("id").combine_chunks()).indices
+    _, first = np.unique(codes.to_numpy(zero_copy_only=False),
+                         return_index=True)
+    return pairs.take(np.sort(first))
 
 
 # ---------------------------------------------------------------------------
