@@ -96,6 +96,8 @@ def run_bench() -> dict:
         "triples_per_sec": round(n_triples / e2e, 1),
         "phase_sec": {k: round(v, 2) for k, v in metrics.items()
                       if k.endswith("_sec")},
+        # every size choice of the kg run: {site, measured, limit, choice}
+        "decisions": metrics["decisions"],
     }
 
 

@@ -94,15 +94,12 @@ class PipelineConfig:
     header_filter: tuple[str, ...] = ()
 
     # --- Ray execution knobs (new-engine only) ---
-    link_broadcast_limit: int = 100_000  # distinct mentions broadcastable via
-    # ray.put; above it merge tasks fall back to per-worker resolution caches
     num_index_shards: int = 16           # hash(ENTITY) shards for the inverted index
     link_shard_route: bool | None = None  # None=auto: shard-route the resolve when
     # the index exceeds link_index_replicate_limit; True/False force the mode
     link_index_replicate_limit: int = 256 << 20  # per-worker RESIDENT byte
     # ceiling for replicating the index (compared against _meta.json's
     # mem_bytes_est, not parquet file size)
-    link_payload_broadcast_bytes: int = 64 << 20  # resolved-payload broadcast guard
     num_output_partitions: int = 16      # hash(subj) partitions of the triple sink
     cc_max_iterations: int = 50          # connected-components fixpoint cap
 

@@ -311,13 +311,6 @@ def parse_geo_coordinate(text: str) -> bool:
     return _GEO_REGEX.fullmatch(text.lower()) is not None
 
 
-def split_geo_coordinate(text: str) -> tuple[float, float] | None:
-    m = _GEO_REGEX.fullmatch(text.lower())
-    if not m:
-        return None
-    return float(m.group(1)), float(m.group(3))
-
-
 _LIST_REGEX = re.compile(r"^\{.+\|.+\}$")
 
 

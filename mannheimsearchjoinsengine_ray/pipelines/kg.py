@@ -42,6 +42,7 @@ import pyarrow as pa
 _log = logging.getLogger(__name__)
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
+from ..stages import aggregates
 from ..stages import materialize as mat
 from ..stages.aggregates import block_refs, record_passes, run_blocks
 from ..stages.extract import TableExtractor, extract_text_batch
@@ -531,13 +532,6 @@ def _prune_side_files(shard_dir: str, committed: set[str], fs=None) -> None:
                 fsio.remove(fs, os.path.join(d, f))
 
 
-# label sets at or below this row count run driver-local blocking + CC; above
-# it, the whole mapping construction stays Dataset-native (nothing
-# driver-sized: edges, components, and the (uri, canon) table are Datasets).
-# ``run_full`` reads it at call time.
-LOCAL_LABEL_LIMIT = 2_000_000
-
-
 def run_full(pages_path: str, out_dir: str,
              cfg: PipelineConfig = DEFAULT_CONFIG,
              num_shards: int | None = None,
@@ -562,11 +556,12 @@ def run_full(pages_path: str, out_dir: str,
     blocks, the distinct mentions, the run files, the phase-1 partition
     files), so it is an ``aggregates.run_blocks`` pass: one task per CPU
     slot, or in-process on the driver at one slot.  Phases 0 and 2 start
-    no execution while the guards hold (posting bytes, label rows, mapping
-    size).  The returned metrics list the passes under ``passes``: one
-    ``{site, items, tasks}`` entry per pass, ``tasks`` 0 when in-process;
-    ``shards_skipped`` counts the shards committed before the call and
-    ``shards_run`` those it ran.
+    no execution while their inputs ``aggregates.fits``.  The returned
+    metrics list the passes under ``passes``: one ``{site, items, tasks}``
+    entry per pass, ``tasks`` 0 when in-process; every size and plan
+    choice under ``decisions`` (``record_passes``); ``shards_skipped``
+    counts the shards committed before the call and ``shards_run`` those
+    it ran.
 
     ``fs``: optional ``pyarrow.fs.FileSystem`` for ``out_dir``.  Every
     output read and write goes through it, the label index and its loads
@@ -578,6 +573,7 @@ def run_full(pages_path: str, out_dir: str,
                             partitions_per_shard, num_entities, canonicalize,
                             fs)
     metrics["passes"] = passes
+    metrics["decisions"] = passes.decisions
     return metrics
 
 
@@ -710,18 +706,17 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
     committed_final = fsio.read_json(fs, final_manifest)
     if committed_final is None:
         from ..stages.canonicalize import (
-            MAPPING_BROADCAST_LIMIT,
             alias_edges_from_labels,
             alias_edges_local,
-            apply_canonical_mapping,
+            apply_canonical_mapping_join,
             mapping_arrays,
             mapping_ds_from_edges,
             mapping_from_edges,
         )
 
-        # dict on the guarded small path; (uri, canon) Dataset on the scale
-        # path — the scale mapping never lands on the driver
-        mapping: "dict | object" = {}
+        # (uri, canon) arrays on the driver path; a (uri, canon) Dataset on
+        # the scale path, which lands on the driver only if it fits
+        mapping = None
         n_merged = 0
         if canonicalize:
             # labels: list + read the label pairs, block, CC, build the mapping
@@ -733,19 +728,17 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                                    for f in fsio.listdir(fs, d)
                                    if f.endswith(".parquet"))
             if label_files:
-                import pyarrow.parquet as pq
-
-                # adaptive: Parquet metadata gives the label row count for
-                # free; small sets run the driver-local blocking (identical
-                # semantics, none of the per-op scheduling overhead)
-                n_labels = sum(pq.read_metadata(f, filesystem=fs).num_rows
-                               for f in label_files)
-                if n_labels <= LOCAL_LABEL_LIMIT:
+                # the footers give the label bytes for free; labels that fit
+                # run the driver-local blocking (same semantics, none of
+                # the per-op scheduling overhead)
+                if aggregates.fits("kg.labels", aggregates.parquet_bytes(
+                        label_files, fs=fs)):
                     labels_df = pa.concat_tables(
                         [fsio.read_parquet(fs, f) for f in label_files]) \
                         .to_pandas()
-                    mapping = mapping_from_edges(alias_edges_local(labels_df, cfg), cfg)
-                    n_merged = len(mapping)
+                    mapping = mapping_arrays(mapping_from_edges(
+                        alias_edges_local(labels_df, cfg), cfg))
+                    n_merged = len(mapping[0])
                 else:
                     # Dataset-native end-to-end: edge Dataset → distributed
                     # CC → (uri, canon) Dataset → co-partitioned join rewrite
@@ -755,8 +748,10 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                     n_merged = mapping.count()
             metrics["labels_sec"] = time.time() - t_labels
         if n_merged:
-            if isinstance(mapping, dict) and \
-                    len(mapping) <= MAPPING_BROADCAST_LIMIT:
+            on_driver = isinstance(mapping, tuple)
+            nbytes = mapping[0].nbytes + mapping[1].nbytes if on_driver \
+                else mapping.size_bytes() or 0
+            if aggregates.fits("kg.mapping", nbytes):
                 # the phase-1 partition files exist: read + rewrite + split
                 # is one pass over them, then stage B
                 runs_dir = _fresh_runs_dir(final_dir, fs)
@@ -765,7 +760,8 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                 part_stats = _merge_runs(
                     _records(run_blocks(
                         _canonical_split, output_files(out_dir, fs),
-                        dict(mapping=mapping_arrays(mapping),
+                        dict(mapping=mapping if on_driver
+                             else mapping_arrays(mapping),
                              split_write=split_write, fs=fs))),
                     final_dir, runs_dir, "phase2", split_rows=None, fs=fs)
             else:
@@ -775,7 +771,8 @@ def _run_full(pages_path: str, out_dir: str, cfg: PipelineConfig,
                 if part_cols:
                     triples_all = triples_all.drop_columns(part_cols)
                 part_stats = materialize_triples(
-                    apply_canonical_mapping(triples_all, mapping), final_dir,
+                    apply_canonical_mapping_join(triples_all, mapping),
+                    final_dir,
                     num_partitions=cfg.num_output_partitions,
                     fingerprint="phase2", fs=fs)
             n_final = sum(m["rows"] for m in part_stats)

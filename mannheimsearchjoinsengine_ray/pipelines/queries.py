@@ -62,23 +62,19 @@ def q_pricing_summary(sf_dir: str):
     return _round_df(out.to_pandas(), {"sum_qty": 2, "sum_price": 2, "avg_qty": 4})
 
 
-# broadcast a dimension lookup only below this row count; orders/customer
-# scale LINEARLY with the fact tables (TPC-H sf100 ≈ 150M/15M rows), so
-# above the guard the dimension chain runs as co-partitioned bucket joins
-CUSTOMER_BROADCAST_LIMIT = 4_000_000
-
-
-def q_revenue_by_nation(sf_dir: str,
-                        broadcast_limit: int = CUSTOMER_BROADCAST_LIMIT):
+def q_revenue_by_nation(sf_dir: str):
     """The central multi-join aggregate: lineitem ⋈ orders ⋈ customer ⋈
     nation.  Scale: the dimension chain orders→customer→nation folds into
-    ONE orderkey→nation dict shipped once via ray.put when every dimension
-    fits the explicit guard — lineitem then streams through a single
-    map+partial-agg pass with NO shuffle of fact rows (the final exchange is
-    25 nation partials per block).  Above the guard: bucket_join on orderkey,
-    then on custkey (both paths hash-equal, exercised in tests)."""
+    ONE orderkey→nation dict shipped once via ray.put when the orders and
+    customer columns together ``aggregates.fits`` — orders/customer scale
+    LINEARLY with the fact tables (TPC-H sf100 ≈ 150M/15M rows) — and
+    lineitem then streams through a single map+partial-agg pass with NO
+    shuffle of fact rows (the final exchange is 25 nation partials per
+    block).  Above the guard: bucket_join on orderkey, then on custkey (both
+    paths hash-equal, exercised in tests)."""
     import ray
 
+    from ..stages import aggregates
     from ..stages.aggregates import map_blocks, two_phase_agg
     from ..stages.joins import bucket_join
 
@@ -91,12 +87,15 @@ def q_revenue_by_nation(sf_dir: str,
                                    pc.subtract(pa.scalar(1.0), t["l_discount"])),
         }),
         "pyarrow")
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    o_cols, c_cols = ["o_orderkey", "o_custkey"], ["c_custkey", "c_nationkey"]
+    orders = _rp(sf_dir, "orders", o_cols)
 
     nation = _rp(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    cust_ds = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    if orders.count() <= broadcast_limit and \
-            cust_ds.count() <= broadcast_limit:
+    cust_ds = _rp(sf_dir, "customer", c_cols)
+    if aggregates.fits(
+            "queries.revenue_dimensions",
+            aggregates.parquet_bytes(f"{sf_dir}/orders.parquet", o_cols)
+            + aggregates.parquet_bytes(f"{sf_dir}/customer.parquet", c_cols)):
         # FLAT-COLUMNAR broadcast (CLAUDE.md rule): sorted orderkey array +
         # int nation codes — ray.get of numpy arrays is plasma zero-copy per
         # worker, and the per-batch lookup is one searchsorted, not a python
@@ -463,21 +462,24 @@ def q_distinct_brands(sf_dir: str):
     return out.to_pandas().sort_values("p_brand").reset_index(drop=True)
 
 
-def q_top_orders_per_segment(sf_dir: str,
-                             broadcast_limit: int = CUSTOMER_BROADCAST_LIMIT):
+def q_top_orders_per_segment(sf_dir: str):
     """Windowed top-k per group (ROW_NUMBER() OVER (PARTITION BY …) analog,
     the reference's per-table rank sort): top-3 orders by price per market
     segment.  Scale: the custkey→segment lookup ships once as FLAT-COLUMNAR
-    numpy arrays under the guard (bucket join above it); segments are a
-    CONSTANT group count, so the ≤3-per-(segment, batch) partials finish on
-    the driver under the byte guard — zero shuffles on the common path."""
+    numpy arrays when the customer columns ``aggregates.fits`` (bucket join
+    above it); segments are a CONSTANT group count, so the
+    ≤3-per-(segment, batch) partials finish on the driver when they fit —
+    zero shuffles on the common path."""
     import ray
 
+    from ..stages import aggregates
     from ..stages.joins import bucket_join
 
+    c_cols = ["c_custkey", "c_mktsegment"]
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    if cust.count() <= broadcast_limit:
+    cust = _rp(sf_dir, "customer", c_cols)
+    if aggregates.fits("queries.segment_customers", aggregates.parquet_bytes(
+            f"{sf_dir}/customer.parquet", c_cols)):
         cdf = cust.to_pandas().sort_values("c_custkey")
         codes, segs = pd.factorize(cdf["c_mktsegment"])
         keys_ref = ray.put(cdf["c_custkey"].to_numpy(dtype=np.int64))
@@ -513,11 +515,9 @@ def q_top_orders_per_segment(sf_dir: str,
         g["rk"] = np.arange(1, len(g) + 1, dtype="int64")
         return g[["c_mktsegment", "rk", "o_orderkey", "o_totalprice"]]
 
-    from ..stages.aggregates import DRIVER_FINAL_BYTES
-
     partials = joined.map_batches(partial_topk, batch_format="pandas") \
         .materialize()
-    if partials.size_bytes() <= DRIVER_FINAL_BYTES:
+    if aggregates.fits("queries.segment_partials", partials.size_bytes()):
         pdf = partials.to_pandas()
         out = pd.concat([topk(g) for _, g in
                          pdf.groupby("c_mktsegment", sort=True)],

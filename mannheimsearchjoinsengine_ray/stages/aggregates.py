@@ -2,8 +2,7 @@
 pass over materialized blocks.
 
 ``bucket_map`` is the exchange behind every wide step (joins, dedup, CC
-star rounds, link merge, sessionizing), and it decides the engine in one
-place: an input that measures at most ``DRIVER_FINAL_BYTES`` goes through
+star rounds, link merge, sessionizing): an input that ``fits`` goes through
 the function once on the driver (the one-bucket case — a sort exchange is
 ~0.3 s of fixed scheduling for kilobytes of rows); above it rows tag with
 ``hash64(key) % B`` and ONE sort-based groupby over the B bucket ids hands
@@ -27,7 +26,8 @@ execution: plain tasks, or the driver itself when the pass would launch a
 single task.  Within the same driver guard, ``read_parquet_blocks`` reads a
 table's files and ``map_blocks`` maps a materialized Dataset's blocks
 through it, so small relational inputs start no execution at all; lazy
-inputs and larger ones keep ``read_parquet``/``map_batches``.
+inputs and larger ones keep ``read_parquet``/``map_batches``.  ``fits``
+is the engine's one size guard, for these choices and every other one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..functions.hashing import hash64
 # per-bucket input target; B = total_bytes / this, clamped
 _TARGET_BUCKET_BYTES = 64 << 20
 _MIN_BUCKETS, _MAX_BUCKETS = 8, 65_536
-# bucket_map inputs up to this many measured bytes finish on the driver
+# the one size guard (``fits``): the most bytes pulled to the driver
 DRIVER_FINAL_BYTES = 32 << 20
 
 
@@ -130,23 +130,57 @@ def materialized(ds):
     return ds.materialize()
 
 
-# the {site, items, tasks} entries of the open ``record_passes`` block
-_passes: list[dict] | None = None
+# the entries of the open ``record_passes`` block
+_passes: "Record | None" = None
 # ``_run_share`` as a Ray remote function, made on first use
 _remote_share = None
+
+
+class Record(list):
+    """A ``record_passes`` block's pass entries, with its ``decisions``."""
+    decisions: list[dict]
 
 
 @contextlib.contextmanager
 def record_passes():
     """Collect one ``{site, items, tasks}`` entry per ``run_blocks`` call
     made inside the ``with`` block: ``site`` is the function's name and
-    ``tasks`` is 0 when the pass ran in-process on the driver."""
+    ``tasks`` is 0 when the pass ran in-process on the driver.  Its
+    ``decisions`` list collects one ``{site, measured, limit, choice}``
+    entry per ``fits`` call and the plan choices passed to ``note``."""
     global _passes
-    outer, _passes = _passes, []
+    outer, _passes = _passes, Record()
+    _passes.decisions = []
     try:
         yield _passes
     finally:
         _passes = outer
+
+
+def note(site: str, **fields) -> None:
+    """Append ``{site, **fields}`` to the decisions of the open
+    ``record_passes`` block, if any."""
+    if _passes is not None:
+        _passes.decisions.append({"site": site, **fields})
+
+
+def fits(site: str, nbytes: float) -> bool:
+    """Whether ``nbytes`` — the Arrow bytes ``site`` would pull to the
+    driver or broadcast — is within ``DRIVER_FINAL_BYTES`` (read per call).
+    True takes the site's driver or broadcast path, False its distributed
+    one.  Each site has its own name, so a test can force any one of them
+    by wrapping this function."""
+    limit = DRIVER_FINAL_BYTES
+    choice = nbytes <= limit
+    note(site, measured=nbytes, limit=limit, choice=choice)
+    return choice
+
+
+def driver_share(items: int, reserved: int = 0) -> int:
+    """One of ``items`` equal shares of ``DRIVER_FINAL_BYTES`` (read per
+    call) left after ``reserved`` bytes: the output budget of each item of a
+    pass whose results all come to the driver."""
+    return max(0, DRIVER_FINAL_BYTES - reserved) // max(1, items)
 
 
 def _run_share(fn, items: list, kw: dict, batch_format: str) -> list:
@@ -241,15 +275,14 @@ def _as_dataset(batches: list):
 
 def map_blocks(ds, fn, batch_format: str):
     """``ds.map_batches(fn, batch_format=...)`` — or, when ``ds`` is
-    materialized and measures at most ``DRIVER_FINAL_BYTES`` (read per
-    call), the same calls as a ``run_blocks`` pass, one per block, returned
-    as an already-materialized Dataset of the block kind ``map_batches``
-    would give: no Ray Data execution starts.  A lazy ``ds`` keeps its
-    fused ``map_batches``: it is never materialized just to take the
-    pass."""
+    materialized and its bytes ``fits``, the same calls as a ``run_blocks``
+    pass, one per block, returned as an already-materialized Dataset of the
+    block kind ``map_batches`` would give: no Ray Data execution starts.
+    A lazy ``ds`` keeps its fused ``map_batches``: it is never
+    materialized just to take the pass."""
     if is_materialized(ds):
         data = materialized(ds)
-        if (data.size_bytes() or 0) <= DRIVER_FINAL_BYTES:
+        if fits("map_blocks", data.size_bytes() or 0):
             refs = block_refs(data)
             if refs:
                 return _as_dataset(run_blocks(fn, refs,
@@ -283,41 +316,49 @@ def _decoded_bytes(chunk) -> float:
     return max(chunk.total_uncompressed_size, chunk.num_values * width)
 
 
+def parquet_bytes(path, columns: list[str] | None = None, fs=None) -> float:
+    """The Arrow bytes of ``columns`` (all when None) of the parquet data at
+    ``path`` — a file, a directory or a list of files on ``fs`` (None:
+    local) — once read, estimated from the footers alone
+    (``_decoded_bytes`` per column chunk)."""
+    import pyarrow.parquet as pq
+
+    nbytes = 0
+    for frag in pq.ParquetDataset(path, filesystem=fs,
+                                  partitioning=None).fragments:
+        md = frag.metadata
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            nbytes += sum(
+                _decoded_bytes(rg.column(j)) for j in range(rg.num_columns)
+                if columns is None
+                or rg.column(j).path_in_schema.split(".")[0] in columns)
+    return nbytes
+
+
 def read_parquet_blocks(path: str, columns: list[str] | None = None):
     """``rd.read_parquet(path, columns=columns)``: the same columns, types
     and rows in the same order (files sorted).  When the selected columns
-    measure at most ``DRIVER_FINAL_BYTES`` (read per call) — their Arrow
-    bytes estimated from the parquet footers (``_decoded_bytes``), nothing
-    else is read to decide — the files are read as a ``run_blocks`` pass
-    and come back as an already-materialized Dataset, one block per file:
-    no Ray Data execution starts.  Above the guard, and for a
-    hive-partitioned path (``key=value`` directories, whose columns only
-    Ray's reader adds), this is the lazy ``rd.read_parquet``."""
+    ``fits`` — their Arrow bytes estimated from the parquet footers
+    (``parquet_bytes``), nothing else is read to decide — the files are
+    read as a ``run_blocks`` pass and come back as an already-materialized
+    Dataset, one block per file: no Ray Data execution starts.  Above the
+    guard, and for a hive-partitioned path (``key=value`` directories, whose
+    columns only Ray's reader adds), this is the lazy ``rd.read_parquet``."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     dataset = pq.ParquetDataset(path, partitioning=None)
     files = [frag.path for frag in dataset.fragments]
-    if files and not any("=" in os.path.dirname(f) for f in files):
-        nbytes = 0
-        for frag in dataset.fragments:
-            md = frag.metadata
-            for i in range(md.num_row_groups):
-                rg = md.row_group(i)
-                nbytes += sum(
-                    _decoded_bytes(rg.column(j))
-                    for j in range(rg.num_columns)
-                    if columns is None or rg.column(j).path_in_schema
-                    .split(".")[0] in columns)
-        if nbytes <= DRIVER_FINAL_BYTES:
-            kw = {"columns": columns, "filesystem": dataset.filesystem}
-            return driver_dataset(run_blocks(pq.read_table, files, kw))
+    if files and not any("=" in os.path.dirname(f) for f in files) \
+            and fits("read_parquet_blocks", parquet_bytes(path, columns)):
+        kw = {"columns": columns, "filesystem": dataset.filesystem}
+        return driver_dataset(run_blocks(pq.read_table, files, kw))
     return rd.read_parquet(path, columns=columns)
 
 
 def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
-               batch_format: str = "pandas",
-               driver_final_bytes: int | None = None):
+               batch_format: str = "pandas"):
     """Run ``fn`` once per hash bucket: every row whose key hashes to
     bucket b (``hash64`` of the key's string form, list keys joined with
     ``"\\x00"``, modulo ``num_buckets``) reaches the same ``fn`` call, which
@@ -327,9 +368,8 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
     materialized — a lazy one through a union of all of them — so their
     measured bytes decide the engine:
 
-    * at or under ``driver_final_bytes`` (default ``DRIVER_FINAL_BYTES``,
-      read per call): ``fn`` runs ONCE on the driver over every row in
-      side and block order — the ``num_buckets = 1`` case of this
+    * when their bytes ``fits``: ``fn`` runs ONCE on the driver over every
+      row in side and block order — the ``num_buckets = 1`` case of this
       contract.  Sides that are all materialized already are read side by
       side, without the union's execution.  The
       sort exchange is about 0.3 s of fixed scheduling for kilobytes of
@@ -355,9 +395,7 @@ def bucket_map(ds, key: str | list[str], num_buckets: int, fn,
         sides = [sides[0].union(*sides[1:]) if len(sides) > 1
                  else sides[0]]
     sides = [materialized(s) for s in sides]
-    if driver_final_bytes is None:
-        driver_final_bytes = DRIVER_FINAL_BYTES
-    if sum(s.size_bytes() or 0 for s in sides) <= driver_final_bytes:
+    if fits("bucket_map", sum(s.size_bytes() or 0 for s in sides)):
         return _driver_map(sides, num_buckets, fn, batch_format)
     data = sides[0].union(*sides[1:]).materialize() if len(sides) > 1 \
         else sides[0]
@@ -454,23 +492,20 @@ def _driver_map(sides: list, num_buckets: int, fn, batch_format: str):
                         in zip(bounds, bounds[1:])])
 
 
-def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
-                  driver_final_bytes: int | None = None):
+def dedupe_by_key(ds, key: str, num_buckets: int | None = 32):
     """Global distinct-by-key.  The per-batch drop_duplicates pass (map-side
     combine) always runs and is materialized, then ``bucket_map`` by key
     drops duplicates per bucket — on the driver in one call while the
-    surviving set fits ``driver_final_bytes`` (measured on
+    surviving set ``fits`` (measured on
     distinct_mentions: 2.5 s → 0.1 s for 1000 distinct strings), as B
     buckets above it, so a high-cardinality groupby's per-group overhead
     never appears.  First row per key in global block order wins on both
     paths.  ``num_buckets=None`` derives B from the measured bytes; the
     driver path returns min(B, cluster CPUs) blocks."""
-    if driver_final_bytes is None:
-        driver_final_bytes = DRIVER_FINAL_BYTES
     deduped = materialized(map_blocks(ds, lambda df: df.drop_duplicates(key),
                                       "pandas"))
     if deduped.num_blocks() > 64 \
-            and (deduped.size_bytes() or 0) > driver_final_bytes:
+            and not fits("dedupe_by_key", deduped.size_bytes() or 0):
         # second combine level: per-block distinct sets repeat hot keys once
         # per block, so at large block counts the bucket exchange would
         # carry blocks × distinct rows — bundle ~32 partial blocks per task
@@ -483,8 +518,7 @@ def dedupe_by_key(ds, key: str, num_buckets: int | None = 32,
     if num_buckets is None:
         num_buckets = auto_bucket_count(deduped)
     return bucket_map(deduped, key, num_buckets,
-                      lambda g: g.drop_duplicates(key),
-                      driver_final_bytes=driver_final_bytes)
+                      lambda g: g.drop_duplicates(key))
 
 
 def _extreme(df: pd.DataFrame, g, col: str, how: str) -> pd.Series:
@@ -508,8 +542,8 @@ def _extreme(df: pd.DataFrame, g, col: str, how: str) -> pd.Series:
     return pd.Series(out, index=size.index, name=col)
 
 
-def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
-                  driver_final_bytes: int | None = None):
+def two_phase_agg(ds, keys: list[str],
+                  spec: dict[str, tuple[str | None, str]]):
     """spec: output_name -> (input_column | None, fn); fn ∈ {sum,count,min,max,mean}.
 
     Returns a Dataset with columns keys + list(spec).
@@ -517,8 +551,8 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
     Partials are always materialized (they are combiner output — bounded by
     #blocks × per-block distinct keys, tiny for low-cardinality groupbys)
     and merged through ``bucket_map`` by key with ONE vectorized pandas
-    groupby per call: on the driver when the measured partial bytes fit
-    ``driver_final_bytes``, else in buckets sized from those bytes — key
+    groupby per call: on the driver when the measured partial bytes
+    ``fits``, else in buckets sized from those bytes — key
     cardinality never meets Ray's per-group machinery (a bare
     groupby(keys).aggregate measured 508 s where the bucket final takes
     ~8 s on a 6M-row/2M-key posting set).
@@ -586,4 +620,4 @@ def two_phase_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]],
 
         return rd.from_pandas(pd.DataFrame(columns=keys + list(spec)))
     return bucket_map(partials, keys, auto_bucket_count(partials),
-                      merge_partials, driver_final_bytes=driver_final_bytes)
+                      merge_partials)

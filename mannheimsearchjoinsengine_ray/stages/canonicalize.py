@@ -35,6 +35,7 @@ from ..config import DEFAULT_CONFIG, PipelineConfig, StringResolution, NumericRe
 from ..functions.hashing import MinHasher, band_keys, hash64
 from ..functions.normalize import tokenize_string
 from ..functions.similarity import jaccard
+from . import aggregates
 from .aggregates import auto_bucket_count, bucket_map
 
 # ---------------------------------------------------------------------------
@@ -386,8 +387,7 @@ def _local_roots(a_vals, b_vals) -> dict:
 
 
 def connected_components_distributed(edges_ds, max_iterations: int = 50,
-                                     num_buckets: int = 32,
-                                     driver_finish_threshold: int = 200_000):
+                                     num_buckets: int = 32):
     """Distributed connected components in three phases:
 
       1. PRE-CONTRACT (map-only, no shuffle): per-batch union-find collapses
@@ -395,15 +395,16 @@ def connected_components_distributed(edges_ds, max_iterations: int = 50,
          reach the shuffle.  Emits contracted edges + (node → rep) mapping
          rows in one tagged pass.  Contraction typically shrinks the graph
          by orders of magnitude (the residual is only cross-batch links).
-      2a. RESIDUAL ≤ driver_finish_threshold: finish with driver union-find
-         (the residual is provably bounded by the explicit guard — the same
-         hybrid the repo uses for label blocking).
+      2a. A residual whose bytes ``aggregates.fits``: finish with driver
+         union-find (the residual is provably bounded by the guard — the
+         same hybrid the repo uses for label blocking).
       2b. Otherwise STAR ROUNDS: alternating large-star / small-star
          (Kiveris et al., "Connected Components in MapReduce and Beyond",
          2014 — public algorithm) over the contracted cross-batch edges; ONE
          bucket shuffle per round, no joins; long chains collapse in
          O(log n) rounds.  At convergence the edge set IS the star forest
-         (component-min → v).
+         (component-min → v).  The number of rounds goes into the
+         decisions of an open ``aggregates.record_passes`` block.
       3. COMPOSE (one bucket shuffle): component(node) =
          star_label(rep(node)) or rep(node) — matched per bucket with numpy
          searchsorted, so integer/string id dtypes survive (no NaN-float
@@ -455,8 +456,6 @@ def connected_components_distributed(edges_ds, max_iterations: int = 50,
     link_edges = bucket_map(mapping, "node", num_buckets, link_shared)
     edges = contracted.union(link_edges).materialize()
 
-    import os as _os
-    debug = bool(_os.environ.get("GRAFT_CC_DEBUG"))
     n, checksum = _edge_stats(edges)
 
     # compose rows: label rows (kind 1) carry key = rep, val = its
@@ -470,15 +469,13 @@ def connected_components_distributed(edges_ds, max_iterations: int = 50,
         out.insert(0, "kind", np.int8(1))
         return out.rename(columns={"rep": "key", "comp": "val"})
 
-    if 0 < n <= driver_finish_threshold:
+    if n > 0 and aggregates.fits("cc.residual", edges.size_bytes() or 0):
         # residual is guard-bounded — driver union-find, skip the rounds
         edf = edges.to_pandas()
         comp = connected_components_local(edf, left="a", right="b")
         lab_df = pd.DataFrame({"kind": np.int8(1), "key": comp["id"],
                                "val": comp["component"]})
         labels = rd.from_pandas(lab_df)
-        if debug:
-            print(f"[cc] driver finish: residual {n} edges", flush=True)
     else:
         it = 0
         while n > 0 and it < max_iterations:
@@ -487,12 +484,11 @@ def connected_components_distributed(edges_ds, max_iterations: int = 50,
             edges = _star_round(edges, small=True, num_buckets=num_buckets) \
                 .materialize()
             new_n, new_checksum = _edge_stats(edges)
-            if debug:
-                print(f"[cc] round {it}: edges {n}->{new_n}", flush=True)
             if (new_n, new_checksum) == (n, checksum):
                 break
             n, checksum = new_n, new_checksum
             it += 1
+        aggregates.note("cc.star_rounds", rounds=it, edges=n)
         # --- star forest labels ---
         labels = edges.map_batches(star_labels, batch_format="pandas")
     probes = mapping.map_batches(
@@ -637,25 +633,26 @@ def subject_alias_edges(triples_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
 
 
 def mapping_from_edges(edges_df: pd.DataFrame,
-                       cfg: PipelineConfig = DEFAULT_CONFIG,
-                       use_distributed_cc: bool | None = None) -> dict:
+                       cfg: PipelineConfig = DEFAULT_CONFIG) -> dict:
     """Verified alias edges → {uri: canonical_uri} via connected components
-    (empty dict = nothing merges; identity).
+    (empty dict = nothing merges; identity): driver union-find when the
+    (left_id, right_id) columns' Arrow bytes ``aggregates.fits``, else the
+    distributed CC.
 
     SMALL-PATH ONLY: the caller must bound ``edges_df`` (it is a driver
     DataFrame).  The scale path is ``mapping_ds_from_edges`` — edge Dataset
     in, (uri, canon) Dataset out, nothing driver-sized in between."""
     if edges_df.empty:
         return {}
-    if use_distributed_cc is None:
-        use_distributed_cc = len(edges_df) >= 2_000_000
-    if use_distributed_cc:
+    ids = pa.Table.from_pandas(edges_df[["left_id", "right_id"]],
+                               preserve_index=False)
+    if aggregates.fits("canonicalize.mapping_edges", ids.nbytes):
+        comp = connected_components_local(edges_df)
+    else:
         import ray.data as rd
 
         comp = connected_components_distributed(
             rd.from_pandas(edges_df), cfg.cc_max_iterations).to_pandas()
-    else:
-        comp = connected_components_local(edges_df)
     return {i: c for i, c in zip(comp["id"], comp["component"]) if i != c}
 
 
@@ -675,24 +672,30 @@ def mapping_ds_from_edges(edges_ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     return comp.map_batches(non_identity, batch_format="pandas")
 
 
-def build_canonical_mapping(triples_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
-                            use_distributed_cc: bool | None = None) -> dict:
+def build_canonical_mapping(triples_ds,
+                            cfg: PipelineConfig = DEFAULT_CONFIG) -> dict:
     """Blocking + verify + connected components over a triple Dataset."""
     edges_df = subject_alias_edges(triples_ds, cfg).to_pandas()
-    return mapping_from_edges(edges_df, cfg, use_distributed_cc)
+    return mapping_from_edges(edges_df, cfg)
 
 
-# a canonical mapping up to this many entries broadcasts via ray.put; larger
-# mappings (not provably driver-sized at 10^12-document scale) go through the
-# co-partitioned join path
-MAPPING_BROADCAST_LIMIT = 5_000_000
-
-
-def mapping_arrays(mapping: dict) -> tuple[pa.Array, pa.Array]:
-    """The sameAs ``mapping`` dict as (uri, canon) Arrow arrays, the form
+def mapping_arrays(mapping) -> tuple[pa.Array, pa.Array]:
+    """The sameAs ``mapping`` — a dict, or a MATERIALIZED (uri, canon)
+    Dataset — as (uri, canon) Arrow string arrays, the form
     :func:`rewrite_uris` takes: built once on the driver."""
-    return (pa.array(list(mapping), pa.string()),
-            pa.array(list(mapping.values()), pa.string()))
+    if isinstance(mapping, dict):
+        return (pa.array(list(mapping), pa.string()),
+                pa.array(list(mapping.values()), pa.string()))
+    import ray
+    from ray.data.block import BlockAccessor
+
+    table = pa.concat_tables(
+        [BlockAccessor.for_block(b).to_arrow().select(["uri", "canon"])
+         for b in ray.get(aggregates.block_refs(mapping))],
+        promote_options="permissive")
+    return tuple(table.column(c).combine_chunks().cast(pa.string())
+                 for c in ("uri", "canon"))
+
 
 
 def rewrite_uris(table: pa.Table, mapping: tuple[pa.Array, pa.Array]
@@ -717,26 +720,26 @@ def rewrite_uris(table: pa.Table, mapping: tuple[pa.Array, pa.Array]
 
 
 def apply_canonical_mapping(triples_ds, mapping,
-                            broadcast_limit: int = MAPPING_BROADCAST_LIMIT,
                             bucket_count: int | None = None):
     """Rewrite subj/obj URIs through the sameAs mapping.
 
-    ``mapping`` is a dict (broadcast when within the explicit guard) or a
-    Dataset with columns (uri, canon).  Above the guard the rewrite runs as
-    co-partitioned bucket joins — the mapping never lands on the driver."""
+    ``mapping`` is a dict, broadcast as (uri, canon) arrays when their bytes
+    ``aggregates.fits``, or a Dataset with columns (uri, canon).  Above the
+    guard the rewrite runs as co-partitioned bucket joins — a Dataset
+    mapping never lands on the driver."""
     import ray
-    import ray.data as rd
 
     if isinstance(mapping, dict):
         if not mapping:
             return triples_ds
-        if len(mapping) <= broadcast_limit:
-            map_ref = ray.put(mapping_arrays(mapping))
+        arrays = mapping_arrays(mapping)
+        if aggregates.fits("canonicalize.mapping",
+                           arrays[0].nbytes + arrays[1].nbytes):
+            map_ref = ray.put(arrays)
             return triples_ds.map_batches(
                 lambda t: rewrite_uris(t, ray.get(map_ref)),
                 batch_format="pyarrow")
-        mapping = rd.from_pandas(pd.DataFrame(
-            {"uri": list(mapping.keys()), "canon": list(mapping.values())}))
+        mapping = arrays
     return apply_canonical_mapping_join(triples_ds, mapping, bucket_count)
 
 
@@ -744,9 +747,15 @@ def apply_canonical_mapping_join(triples_ds, mapping_ds,
                                  bucket_count: int | None = None):
     """Join-based URI rewrite: triples ⋈ (uri → canon) co-partitioned on the
     subject hash, then the uri-typed objects through a second join; literal
-    rows bypass the second shuffle entirely."""
+    rows bypass the second shuffle entirely.  ``mapping_ds`` is a (uri,
+    canon) Dataset or the ``mapping_arrays`` pair."""
+    import ray.data as rd
+
     from .joins import bucket_join
 
+    if isinstance(mapping_ds, tuple):
+        mapping_ds = rd.from_arrow(pa.table(dict(zip(("uri", "canon"),
+                                                     mapping_ds))))
     mapping_ds = mapping_ds.materialize()
 
     def fix_subj(df: pd.DataFrame) -> pd.DataFrame:
@@ -779,8 +788,7 @@ def apply_canonical_mapping_join(triples_ds, mapping_ds,
                                      batch_format="pandas"))
 
 
-def canonicalize_triples(triples_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
-                         use_distributed_cc: bool | None = None):
+def canonicalize_triples(triples_ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     """build_canonical_mapping + apply_canonical_mapping in one call."""
-    mapping = build_canonical_mapping(triples_ds, cfg, use_distributed_cc)
+    mapping = build_canonical_mapping(triples_ds, cfg)
     return apply_canonical_mapping(triples_ds, mapping)

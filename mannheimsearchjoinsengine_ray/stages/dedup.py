@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from ..functions import hashing
 from ..functions.similarity import jaccard, ngrams_in_bounds
+from . import aggregates
 from .canonicalize import band_rows, candidate_pairs, connected_components_local
 
 
@@ -55,9 +56,6 @@ def exact_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
 # occurs >= min_count times CORPUS-WIDE (within- and cross-document
 # occurrences both count) and drop the words covered by any duplicated span.
 # ---------------------------------------------------------------------------
-
-SPAN_BROADCAST_BYTES = 64 << 20
-
 
 def _doc_gram_hashes(words: list[str], k: int) -> np.ndarray:
     """uint64 hash per k-gram start position (len-k+1 entries, may be 0)."""
@@ -91,14 +89,14 @@ def duplicated_gram_hashes(docs_ds, k: int = 5, min_count: int = 2,
 
 
 def remove_duplicate_spans(docs_ds, k: int = 5, min_count: int = 2,
-                           id_col: str = "doc_id", text_col: str = "text",
-                           broadcast_bytes: int = SPAN_BROADCAST_BYTES):
+                           id_col: str = "doc_id", text_col: str = "text"):
     """→ (id, total_grams, dup_grams, clean_text): words covered by any
     duplicated k-gram span are removed, the remainder re-joins with single
     spaces.  The duplicated-hash set ships FLAT-COLUMNAR (one sorted uint64
-    array via ray.put, membership = searchsorted per batch) under the byte
-    guard; above it the set attaches through a co-partitioned bucket semi
-    join on (doc, position) gram rows.  Both paths equivalence-tested."""
+    array via ray.put, membership = searchsorted per batch) when its bytes
+    ``aggregates.fits``; above it the set attaches through a co-partitioned
+    bucket semi join on (doc, position) gram rows.  Both paths
+    equivalence-tested."""
     import ray
     import ray.data as rd
 
@@ -115,7 +113,7 @@ def remove_duplicate_spans(docs_ds, k: int = 5, min_count: int = 2,
         return {"id": doc_id, "total_grams": n_grams,
                 "dup_grams": int(len(dup_pos)), "clean_text": clean}
 
-    if dup.size_bytes() <= broadcast_bytes:
+    if aggregates.fits("dedup.span_hashes", dup.size_bytes() or 0):
         arr = np.sort(dup.to_pandas()["gram_hash"].to_numpy()
                       .astype("int64").view(np.uint64))
         dup_ref = ray.put(arr)
@@ -223,20 +221,16 @@ def _distinct_pairs(pairs_ds):
         lambda df: df.drop(columns="__pair"), batch_format="pandas")
 
 
-PAYLOAD_BROADCAST_BYTES = 64 << 20
-
-
 def attach_pair_payloads(pairs_ds, docs_ds, id_col: str, payload_col: str,
                          left_out: str = "left_name",
-                         right_out: str = "right_name",
-                         broadcast_bytes: int = PAYLOAD_BROADCAST_BYTES):
+                         right_out: str = "right_name"):
     """(left_id, right_id) pairs + (id, payload) docs → pairs with
     left/right payload columns.  The doc table is first SEMI-filtered to ids
     that appear in any pair (Bloom partials + exact bucket semi join), so
     only candidate payloads move — the full corpus text never rides a
     shuffle.  The filtered payload set (bounded by 2×pairs rows) broadcasts
-    via ray.put under the byte guard; above it, two co-partitioned bucket
-    joins attach the sides."""
+    via ray.put when its bytes ``aggregates.fits``; above it, two
+    co-partitioned bucket joins attach the sides."""
     import ray
     import ray.data as rd
 
@@ -259,7 +253,7 @@ def attach_pair_payloads(pairs_ds, docs_ds, id_col: str, payload_col: str,
                             batch_format="pandas"),
         mentioned, id_col, "pid").materialize()
 
-    if docs_small.size_bytes() <= broadcast_bytes:
+    if aggregates.fits("dedup.pair_payloads", docs_small.size_bytes() or 0):
         dsmall = docs_small.to_pandas()
         lookup_ref = ray.put(dict(zip(dsmall[id_col], dsmall[payload_col])))
 
@@ -320,19 +314,17 @@ def minhash_dedup_pairs(docs_ds, min_jaccard: float = 0.7, num_perm: int = 128,
         batch_format="pandas")
 
 
-LOCAL_CC_EDGE_LIMIT = 2_000_000
-
-
-def assign_components(pairs_ds, all_ids=None,
-                      local_edge_limit: int = LOCAL_CC_EDGE_LIMIT) -> pd.DataFrame:
+def assign_components(pairs_ds, all_ids=None) -> pd.DataFrame:
     """Pairs → (id, component) DataFrame.  Ids not in any pair map to
-    themselves when ``all_ids`` is given.  Edge sets above the guard run the
-    distributed large/small-star CC instead of driver union-find (the
-    RESULT is still driver-sized — use :func:`assign_components_ds` when the
-    id universe itself is corpus-scale)."""
+    themselves when ``all_ids`` is given.  A pair Dataset whose bytes do
+    not ``aggregates.fits`` runs the distributed large/small-star CC
+    instead of driver union-find (the RESULT is still driver-sized — use
+    :func:`assign_components_ds` when the id universe itself is
+    corpus-scale)."""
     if hasattr(pairs_ds, "to_pandas"):
         pairs_ds = pairs_ds.materialize()
-        if pairs_ds.count() > local_edge_limit:
+        if not aggregates.fits("dedup.components",
+                               pairs_ds.size_bytes() or 0):
             from .canonicalize import connected_components_distributed
 
             comp = connected_components_distributed(
@@ -354,21 +346,20 @@ def assign_components(pairs_ds, all_ids=None,
     return comp.sort_values("id").reset_index(drop=True)
 
 
-def assign_components_ds(pairs_ds, ids_ds=None, id_col: str = "doc_id",
-                         local_edge_limit: int = LOCAL_CC_EDGE_LIMIT):
-    """Dataset-native (id, component): verified-pair sets under the guard
-    finish with driver union-find (exact, post-blocking-small); above it the
-    distributed CC runs.  Ids in no pair fill identity through a bucket
-    ANTI join — the id universe never lands on the driver."""
+def assign_components_ds(pairs_ds, ids_ds=None, id_col: str = "doc_id"):
+    """Dataset-native (id, component): verified-pair sets whose bytes
+    ``aggregates.fits`` finish with driver union-find (exact,
+    post-blocking-small); above it the distributed CC runs.  Ids in no
+    pair fill identity through a bucket ANTI join — the id universe never
+    lands on the driver."""
     import ray.data as rd
 
     from .joins import bucket_anti_join
 
     pairs_ds = pairs_ds.materialize()
-    n_edges = pairs_ds.count()
-    if n_edges == 0:
+    if pairs_ds.count() == 0:
         comp_ds = None
-    elif n_edges <= local_edge_limit:
+    elif aggregates.fits("dedup.components_ds", pairs_ds.size_bytes() or 0):
         comp = connected_components_local(
             pairs_ds.select_columns(["left_id", "right_id"]).to_pandas())
         comp_ds = rd.from_pandas(comp)

@@ -12,8 +12,8 @@ and pivots only for small exports):
     and fuse with a vectorized pandas merge per triple batch;
   * LARGE edge sets go through ``bucket_join`` (one union + one groupby
     shuffle co-partitioned on the subject hash) — edges scale with mention
-    count (~one per table row), so the broadcast path is gated by an
-    explicit row-count guard, not assumed;
+    count (~one per table row), so the broadcast path is gated by the
+    broadcast frame's bytes (``aggregates.fits``), not assumed;
   * ``pivot_fused`` builds the reference-shaped wide table for small results,
     column key = ``pred|source_url`` (the header|tablePath analog), cells
     resolved by first-wins like TableColumn.addNewValue.
@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.normalize import clear_string
+from . import aggregates
 
 FUSED_SCHEMA = pa.schema([
     ("query_key", pa.string()),      # the mention that matched
@@ -36,12 +37,6 @@ FUSED_SCHEMA = pa.schema([
 ])
 
 _FUSED_COLS = list(FUSED_SCHEMA.names)
-
-# edges up to this many rows ship once per worker via ray.put; beyond it the
-# co-partitioned shuffle join runs (the guard is what makes the broadcast
-# path safe — top-k-capped link results are bounded, raw edges are not)
-BROADCAST_EDGE_LIMIT = 200_000
-
 
 def _filter_triples_by_header(triples_ds, header_filter, exact_headers: bool):
     allowed = set(header_filter) if exact_headers else {
@@ -59,12 +54,14 @@ def _filter_triples_by_header(triples_ds, header_filter, exact_headers: bool):
 def fuse_edges_with_triples(edges, triples_ds,
                             header_filter: list[str] | None = None,
                             exact_headers: bool = False,
-                            broadcast_limit: int = BROADCAST_EDGE_LIMIT,
                             bucket_count: int | None = None):
     """Long fused view: one row per (matched mention × entity triple).
 
     edges: (mention, entity_uri, ...) link edges — pandas DataFrame or
-    Dataset.  triples: (subj, pred, obj, obj_type, source_url).
+    Dataset.  triples: (subj, pred, obj, obj_type, source_url).  The
+    (mention, entity_uri) frame broadcasts when its bytes
+    ``aggregates.fits`` (top-k-capped link results are bounded, raw edges
+    are not); above it the co-partitioned shuffle join runs.
     """
     import ray
     import ray.data as rd
@@ -73,13 +70,14 @@ def fuse_edges_with_triples(edges, triples_ds,
         triples_ds = _filter_triples_by_header(triples_ds, header_filter,
                                                exact_headers)
 
-    is_df = isinstance(edges, pd.DataFrame)
-    n_edges = len(edges) if is_df else edges.count()
+    if isinstance(edges, pd.DataFrame):
+        pairs = rd.from_pandas(edges[["mention", "entity_uri"]])
+    else:
+        pairs = aggregates.materialized(
+            edges.select_columns(["mention", "entity_uri"]))
 
-    if n_edges <= broadcast_limit:
-        edges_df = edges[["mention", "entity_uri"]].copy() if is_df else \
-            edges.select_columns(["mention", "entity_uri"]).to_pandas()
-        edges_ref = ray.put(edges_df)
+    if aggregates.fits("fusion.edges", pairs.size_bytes() or 0):
+        edges_ref = ray.put(pairs.to_pandas())
 
         def fuse(df: pd.DataFrame) -> pd.DataFrame:
             e = ray.get(edges_ref)
@@ -98,14 +96,9 @@ def fuse_edges_with_triples(edges, triples_ds,
     # --- scale path: co-partitioned shuffle join on the subject hash ---
     from .joins import bucket_join
 
-    if is_df:
-        edges_ds = rd.from_pandas(
-            edges[["mention", "entity_uri"]].rename(
-                columns={"mention": "query_key"}))
-    else:
-        edges_ds = edges.select_columns(["mention", "entity_uri"]).map_batches(
-            lambda df: df.rename(columns={"mention": "query_key"}),
-            batch_format="pandas")
+    edges_ds = pairs.map_batches(
+        lambda df: df.rename(columns={"mention": "query_key"}),
+        batch_format="pandas")
     joined = bucket_join(edges_ds, triples_ds, left_on="entity_uri",
                          right_on="subj", bucket_count=bucket_count)
 

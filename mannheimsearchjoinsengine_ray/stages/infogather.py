@@ -34,10 +34,8 @@ import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..functions.normalize import clear_string
-from .aggregates import bucket_map, dedupe_by_key, two_phase_agg
-
-# driver-local PPR below this node count (the usual explicit hybrid guard)
-PPR_DRIVER_NODE_LIMIT = 500_000
+from . import aggregates
+from .aggregates import bucket_map, two_phase_agg
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +186,19 @@ def _ppr_local(edges_df: pd.DataFrame, beta: dict[str, float],
 
 def personalized_pagerank(edges_ds, beta: dict[str, float],
                           alpha: float = 0.15, iters: int = 20,
-                          num_buckets: int = 32,
-                          driver_node_limit: int = PPR_DRIVER_NODE_LIMIT):
+                          num_buckets: int = 32):
     """TSP scores for every node reachable from the seeds.
 
-    Distributed path (above the node guard): per round, contributions flow
-    across the edge list via ONE bucket shuffle (hash(dst) groups, pandas
-    vectorized inside) — the same exchange shape as the repo's CC/star
-    rounds; β re-injects with weight α each round."""
+    An edge list whose bytes ``aggregates.fits`` runs the PPR on the
+    driver.  Distributed path (above the guard): per round, contributions
+    flow across the edge list via ONE bucket shuffle (hash(dst) groups,
+    pandas vectorized inside) — the same exchange shape as the repo's
+    CC/star rounds; β re-injects with weight α each round."""
     import ray
     import ray.data as rd
 
     edges = edges_ds.materialize()
-
-    # node count via per-batch distinct + bucket dedupe count
-    def nodes_of(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": pd.unique(
-            pd.concat([df["src"], df["dst"]], ignore_index=True))})
-
-    n_nodes = dedupe_by_key(
-        edges.map_batches(nodes_of, batch_format="pandas"), "node").count()
-    if n_nodes <= driver_node_limit:
+    if aggregates.fits("infogather.ppr_edges", edges.size_bytes() or 0):
         return rd.from_pandas(_ppr_local(edges.to_pandas(), beta,
                                          alpha, iters))
 

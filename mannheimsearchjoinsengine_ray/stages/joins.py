@@ -17,12 +17,14 @@ Auto planning (the 100×-safe default): with ``bucket_count=None`` both sides
 are materialized (the shuffle reads every row anyway) and B is derived from
 the measured byte size / ``target_bucket_bytes`` — a literal 16 caps reduce
 parallelism AND requires each bucket to fit one worker's heap at any scale.
-Whatever B is, ``bucket_map`` measures the tagged sides and, at or under
-``aggregates.DRIVER_FINAL_BYTES``, merges them in ONE call on the driver
-(no sort exchange); B then only sets the output block count.
+Whatever B is, ``bucket_map`` measures the tagged sides and, when they
+``aggregates.fits``, merges them in ONE call on the driver (no sort
+exchange); B then only sets the output block count.
 With ``salt=None`` (auto) a probe side above ``skew_threshold`` rows runs
 ``detect_hot_keys`` (bounded partials) and salts automatically, so one hot
 key never pins a reduce task without the caller having to know about skew.
+The auto plan (bucket count, salt, hot keys) goes into the decisions of an
+open ``aggregates.record_passes`` block.
 
 Interior format: Arrow end to end.  The tag maps run with
 ``batch_format="pyarrow"``, so Ray converts a side held in pandas blocks
@@ -52,6 +54,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import aggregates
 from .aggregates import (
     _TARGET_BUCKET_BYTES,
     auto_bucket_count,
@@ -63,10 +66,6 @@ from .aggregates import (
 # probe sides below this row count skip hot-key detection entirely
 _AUTO_SKEW_ROWS = 1_000_000
 _AUTO_SALT = 8
-
-# the most recent auto-planned (bucket_count, salt, hot_keys) — observability
-# for tests and ds.stats() debugging, not part of the operator contract
-last_auto_plan: dict = {}
 
 _JOIN_TYPES = {"inner": "inner", "left": "left outer",
                "right": "right outer", "outer": "full outer"}
@@ -210,9 +209,9 @@ def bucket_join(left_ds, right_ds, left_on: str, right_on: str,
                     min_count=max(skew_threshold // 20, int(n_left * 0.05)))
                 if hot_keys:
                     salt = _AUTO_SALT
-        last_auto_plan.clear()
-        last_auto_plan.update({"bucket_count": bucket_count, "salt": salt or 1,
-                               "hot_keys": set(hot_keys or ())})
+        aggregates.note("joins.auto_plan", bucket_count=bucket_count,
+                        salt=salt or 1,
+                        hot_keys=sorted(hot_keys or (), key=str))
     salt = (salt or 1) if hot_keys else 1
     left_cols = _schema_names(left_ds)
     right_cols = _schema_names(right_ds)

@@ -478,11 +478,20 @@ def _score_shard_slice(item: tuple, mentions: pa.Table, budget: int,
     return part if part.nbytes <= budget else None
 
 
+def _resolve_block(block: pa.Table, budget: int, **kw) -> pa.Table | int:
+    """One distinct-mention block of the replicated resolve pass: its
+    resolved rows (``resolve_mentions_batch``), or only their byte count
+    when they measure over ``budget``, so the driver never receives more
+    than its share."""
+    part = resolve_mentions_batch(block, **kw)
+    return part if part.nbytes <= budget else part.nbytes
+
+
 def _scored_in_passes(distinct_ds, shards: list[int], kw: dict):
     """The shard scatter as one ``run_blocks`` pass over the distinct set,
-    when it is materialized and measures at most ``DRIVER_FINAL_BYTES``:
-    [the markers, then each shard's partials in shard order] as one
-    already-materialized Dataset, whose bytes stay within the same guard.
+    when it is materialized and its bytes ``fits``: [the markers, then each
+    shard's partials in shard order] as one already-materialized Dataset,
+    whose bytes stay within ``DRIVER_FINAL_BYTES``.
     None when the set is lazy or larger, or when some item's partial
     overflows its share of the guard."""
     import ray
@@ -491,7 +500,7 @@ def _scored_in_passes(distinct_ds, shards: list[int], kw: dict):
     if not is_materialized(distinct_ds):
         return None
     data = materialized(distinct_ds)
-    if (data.size_bytes() or 0) > aggregates.DRIVER_FINAL_BYTES:
+    if not aggregates.fits("link.scored_in_passes", data.size_bytes() or 0):
         return None
     # the blocks are pandas, out of ``dedupe_by_key``
     schema = pa.schema([("mention", pa.string())])
@@ -507,8 +516,7 @@ def _scored_in_passes(distinct_ds, shards: list[int], kw: dict):
     bounds = [i * n // slices for i in range(slices + 1)]
     items = [(s, lo, hi) for s in shards
              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    budget = max(0, aggregates.DRIVER_FINAL_BYTES - markers.nbytes) \
-        // max(1, len(items))
+    budget = aggregates.driver_share(len(items), markers.nbytes)
     parts = run_blocks(_score_shard_slice, items,
                        dict(kw, mentions=mentions, budget=budget))
     if any(p is None for p in parts):
@@ -545,7 +553,7 @@ def resolve_mentions_sharded(distinct_ds, index_dir: str, top_k: int,
 
     The scatter runs one of two ways:
 
-    * a materialized distinct set within ``DRIVER_FINAL_BYTES`` is scored
+    * a materialized distinct set that ``fits`` is scored
       in one ``run_blocks`` pass (``_scored_in_passes``): no Ray Data
       execution, and each item returns its partial only while it fits its
       share of the same guard, so the gather input — and the driver —
@@ -953,11 +961,11 @@ def link_mentions(mentions_ds, index_dir: str,
     """mentions → edges.
 
     Scale shape (see module comment): distinct mentions resolve ONCE
-    cluster-wide; within ``cfg.link_broadcast_limit`` the resolved table
+    cluster-wide; while its bytes ``aggregates.fits`` the resolved table
     broadcasts via ``ray.put`` and a stateless task map merges it into the
     mention stream — total cold-scan work is ``O(distinct)`` regardless of
     cluster size, and the merge schedules at full cluster width (no
-    reserved actor pool).  ABOVE the limit the merge runs as a
+    reserved actor pool).  Above the guard the merge runs as a
     co-partitioned bucket join instead (``_link_merge_join``): same
     O(distinct) resolve, one hash(mention) exchange, no broadcast — the
     10^12-document path, where the distinct-mention set is not provably
@@ -995,7 +1003,8 @@ def link_merge_plan(distinct_ds, index_dir: str,
                     cfg: PipelineConfig = DEFAULT_CONFIG,
                     top_k: int = 5, fs=None) -> tuple[dict, object]:
     """Everything of the link before the merge: route the resolve, resolve
-    the distinct mentions ONCE, and choose how the merge meets them.
+    the distinct mentions ONCE, and choose how the merge meets them: the
+    resolved table broadcasts when its bytes ``aggregates.fits``.
 
     Returns ``(merge_kw, resolved)``.  On the broadcast path ``resolved``
     is None and ``merge_kw`` are the complete ``merge_links_batch`` kwargs,
@@ -1042,37 +1051,30 @@ def link_merge_plan(distinct_ds, index_dir: str,
             f"under {index_dir} (rebuild with build_index)")
     distinct = materialized(distinct_ds)
     mkw = dict(kw, payload_mode=bool(sharded))
-    use_bucket = distinct.count() > cfg.link_broadcast_limit
-    if not (sharded or use_bucket):
-        # replicated index, broadcast merge: the resolved rows go to the
-        # driver anyway, so the resolve is a pass over the distinct blocks
-        parts = run_blocks(resolve_mentions_batch, block_refs(distinct), kw)
+    if sharded:
+        resolved = materialized(resolve_mentions_sharded(
+            distinct, index_dir, top_k=top_k,
+            max_edit=cfg.max_edit_distance, fuzzy=True,
+            shards=[int(s) for s in meta["shards"]], fs=fs))
+        nbytes = resolved.size_bytes() or 0
     else:
-        if sharded:
-            resolved = resolve_mentions_sharded(
-                distinct, index_dir, top_k=top_k,
-                max_edit=cfg.max_edit_distance, fuzzy=True,
-                shards=[int(s) for s in meta["shards"]], fs=fs)
-        else:
+        # replicated index: the resolve is a pass over the distinct blocks
+        # whose items return their rows only within an equal share of the
+        # guard — every share is met exactly when items × the largest part
+        # fits
+        refs = block_refs(distinct)
+        parts = run_blocks(_resolve_block, refs,
+                           dict(kw, budget=aggregates.driver_share(len(refs))))
+        nbytes = len(parts) * max(
+            (p if isinstance(p, int) else p.nbytes for p in parts), default=0)
+    if not aggregates.fits("link.broadcast", nbytes):
+        if not sharded:
             resolved = distinct.map_batches(resolve_mentions_batch,
                                             fn_kwargs=kw,
                                             batch_format="pyarrow")
-        if not use_bucket:
-            # resolve ONCE: to_arrow_refs() on the lazy Dataset would run
-            # the resolve a second time (under a limit-1 plan) just to
-            # fetch the schema
-            resolved = materialized(resolved)
-            # payload-carrying resolved rows are ~100× heavier than eid
-            # rows (measured 143 MB for 13k distinct mentions at a
-            # 200k-entity KB) — byte-guard the broadcast the same way every
-            # other broadcast in the repo is guarded, and fall back to the
-            # co-partitioned bucket merge
-            use_bucket = \
-                resolved.size_bytes() > cfg.link_payload_broadcast_bytes
-        if use_bucket:
-            return mkw, resolved
+        return mkw, resolved
+    if sharded:
         parts = ray.get(resolved.to_arrow_refs())
-
     parts = [t for t in parts if len(t)]
     tbl = pa.concat_tables(parts) if parts else pa.Table.from_pydict(
         {c: [] for c in RESOLVED_SCHEMA.names}, schema=RESOLVED_SCHEMA)

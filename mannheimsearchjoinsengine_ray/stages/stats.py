@@ -219,9 +219,3 @@ def clean_tables_batch(batch: pa.Table,
         out["rows"].append(rows2)
         out["raw_keys"].append([r[key_idx2] for r in rows2])
     return pa.Table.from_pydict(out, schema=_TABLE_RECORD_SCHEMA)
-
-
-def normalize_numeric_string(value: str) -> str | None:
-    """normalizeColumnNumeric: strip non-numeric chars, collapse multi-dot."""
-    f = to_float(value)
-    return repr(f) if f is not None else None

@@ -48,7 +48,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import hash64
-from ..functions.normalize import clear_string, tokenize_string
+from ..functions.normalize import tokenize_string
 from ..functions.similarity import jaccard, levenshtein
 from . import fsio
 
@@ -126,20 +126,19 @@ def add_shard_column(batch: pa.Table, num_shards: int) -> pa.Table:
 
 
 def build_index(entities_ds, index_dir: str, num_shards: int = 8,
-                fs=None, driver_final_bytes: int | None = None) -> int:
+                fs=None) -> int:
     """Index build: postings → distinct (token, entry) → [global df per
     token → ``vocab/``] + [entity-shard split → one Parquet file per
     shard] + ``_meta.json`` (global n_entries, live shards, bytes).
     Returns the number of distinct postings.
 
     The posting map runs once and its output is measured (the
-    ``two_phase_agg`` pattern): over a materialized input within the guard
-    it is an ``aggregates.run_blocks`` pass (no Ray Data execution),
-    otherwise ONE Dataset job, materialized.  Under
-    ``driver_final_bytes`` (default ``GRAFT_INDEX_DRIVER_BYTES`` or the
-    house 32 MB guard) the dedupe/df/vocab/shard finish happens ON THE
-    DRIVER — the distributed tail is three more exchanges over the posting
-    set (distinct, df aggregate, shard groupby), ~1.5–2 s of fixed task
+    ``two_phase_agg`` pattern): over a materialized input that
+    ``aggregates.fits`` it is an ``aggregates.run_blocks`` pass (no Ray
+    Data execution), otherwise ONE Dataset job, materialized.  When the
+    postings fit, the dedupe/df/vocab/shard finish happens ON THE DRIVER —
+    the distributed tail is three more exchanges over the posting set
+    (distinct, df aggregate, shard groupby), ~1.5–2 s of fixed task
     overhead for a kilobyte-scale gazetteer (BASELINE.md #44).  Above the
     guard every step stays distributed; the artifact layout is identical
     either way (equivalence pinned by
@@ -148,18 +147,10 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
     ``fs``: optional ``pyarrow.fs.FileSystem`` for ``index_dir`` — the
     shared-storage index build (shard writers run in Ray tasks and carry
     the pickled fs).  ``None`` = POSIX fast path (see ``state/fsio.py``)."""
-    from ..stages.aggregates import (
-        DRIVER_FINAL_BYTES,
-        block_refs,
-        dedupe_by_key,
-        is_materialized,
-        run_blocks,
-        two_phase_agg,
-    )
+    import ray
+    import ray.data as rd
 
-    if driver_final_bytes is None:
-        driver_final_bytes = int(os.environ.get(
-            "GRAFT_INDEX_DRIVER_BYTES", DRIVER_FINAL_BYTES))
+    from ..stages import aggregates
 
     fsio.makedirs(fs, index_dir)
     # a rebuild with fewer live shards must not leave stale files behind —
@@ -169,25 +160,22 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
             fsio.remove(fs, os.path.join(index_dir, f))
     fsio.rmtree(fs, os.path.join(index_dir, _VOCAB_DIR))
 
-    postings = None
-    if is_materialized(entities_ds) and \
-            (entities_ds.size_bytes() or 0) <= driver_final_bytes:
+    blocks = postings = None
+    if aggregates.is_materialized(entities_ds) and aggregates.fits(
+            "index.entities", entities_ds.size_bytes() or 0):
         # entities that already exist and fit the guard: the posting map is
         # a pass over their blocks (in-process at one CPU slot)
-        blocks = run_blocks(postings_from_entities_batch,
-                            block_refs(entities_ds.materialize()))
-        if sum(b.nbytes for b in blocks) > driver_final_bytes:
-            import ray.data as rd
-
-            postings = rd.from_arrow(blocks)
+        blocks = aggregates.run_blocks(
+            postings_from_entities_batch,
+            aggregates.block_refs(entities_ds.materialize()))
+        nbytes = sum(b.nbytes for b in blocks)
     else:
         postings = entities_ds.map_batches(postings_from_entities_batch,
                                            batch_format="pyarrow").materialize()
-        if (postings.size_bytes() or 0) <= driver_final_bytes:
-            import ray as _ray
-
-            blocks, postings = _ray.get(postings.to_arrow_refs()), None
-    if postings is None:
+        nbytes = postings.size_bytes() or 0
+    if aggregates.fits("index.postings", nbytes):
+        if blocks is None:
+            blocks = ray.get(postings.to_arrow_refs())
         # empty blocks pass a map_batches through with the INPUT schema (Ray
         # never calls the UDF on them) — an all-empty pull must still be
         # POSTING_SCHEMA
@@ -195,6 +183,8 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
         tbl = pa.concat_tables(blocks) if blocks \
             else POSTING_SCHEMA.empty_table()
         return _build_index_driver(tbl, index_dir, num_shards, fs)
+    if postings is None:
+        postings = rd.from_arrow(blocks)
 
     def add_key(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -208,7 +198,7 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
     # document frequency is distinct-entry count per token — the serving
     # structure factorizes to the same set, so idf stays bit-identical
     # between the replicated and shard-routed paths
-    deduped = dedupe_by_key(
+    deduped = aggregates.dedupe_by_key(
         postings.map_batches(add_key, batch_format="pyarrow"),
         "__key").materialize()
     n_postings = deduped.count()
@@ -216,7 +206,8 @@ def build_index(entities_ds, index_dir: str, num_shards: int = 8,
     vocab_tmp = os.path.join(index_dir, _VOCAB_DIR + ".tmp")
     vocab_dir = os.path.join(index_dir, _VOCAB_DIR)
     fsio.rmtree(fs, vocab_tmp)
-    df_ds = two_phase_agg(deduped, ["token"], {"df": (None, "count")})
+    df_ds = aggregates.two_phase_agg(deduped, ["token"],
+                                     {"df": (None, "count")})
     if fs is None:
         df_ds.write_parquet(vocab_tmp)
     else:
@@ -944,8 +935,3 @@ def finalize_candidates(cands: list[tuple], top_k: int,
         if len(out) >= top_k:
             break
     return out
-
-
-def clear_mention(mention: str) -> str:
-    """Canonical mention key (clearString; empty → 'null')."""
-    return clear_string(mention, remove_brackets=True)

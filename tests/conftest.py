@@ -34,11 +34,41 @@ def sf_dir() -> str:
 
 @pytest.fixture
 def exchange_path(monkeypatch):
-    """Every ``bucket_map`` runs its sort exchange, however small its input
-    (by default inputs up to ``DRIVER_FINAL_BYTES`` finish on the driver)."""
+    """Every ``aggregates.fits`` site takes its distributed path, however
+    small its input: ``bucket_map`` runs its sort exchange, and no broadcast
+    or driver finish happens (by default inputs up to
+    ``DRIVER_FINAL_BYTES`` stay on the driver)."""
     from mannheimsearchjoinsengine_ray.stages import aggregates
 
     monkeypatch.setattr(aggregates, "DRIVER_FINAL_BYTES", -1)
+
+
+@pytest.fixture
+def force_site(monkeypatch):
+    """``force_site(site, choice)`` makes every ``aggregates.fits(site, …)``
+    call return ``choice`` — True takes the site's driver or broadcast
+    path, False its distributed one — without recording it; the other
+    sites measure as usual.  The test fails if a forced site is never
+    reached (a misspelt site would force nothing)."""
+    from mannheimsearchjoinsengine_ray.stages import aggregates
+
+    real = aggregates.fits
+    forced: dict[str, bool] = {}
+    reached: set[str] = set()
+
+    def fits(site: str, nbytes: float) -> bool:
+        if site in forced:
+            reached.add(site)
+            return forced[site]
+        return real(site, nbytes)
+
+    monkeypatch.setattr(aggregates, "fits", fits)
+
+    def force(site: str, choice: bool) -> None:
+        forced[site] = choice
+
+    yield force
+    assert set(forced) <= reached, f"never reached: {set(forced) - reached}"
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """``aggregates.bucket_map`` — the one hash-bucket exchange — on adversarial
-shapes, plus a guard that keeps the exchange from being hand-rolled again."""
+shapes, plus guards that keep the exchange from being hand-rolled again and
+every size choice on ``aggregates.fits``."""
 
 from __future__ import annotations
 
@@ -322,3 +323,96 @@ def test_link_merge_is_set_at_a_time():
             imported.update(a.name for a in node.names)
     assert "pickle" not in imported
     assert "finalize_candidates(" not in src
+
+
+def _trees():
+    """(package-relative path, parsed module with ``.parent`` links) for
+    every module of the package."""
+    import ast
+
+    for p in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        yield p.relative_to(PACKAGE).as_posix(), tree
+
+
+def _enclosing_function(node) -> str | None:
+    import ast
+
+    while hasattr(node, "parent"):
+        node = node.parent
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name
+    return None
+
+
+def test_one_size_threshold():
+    """Every driver-or-distributed choice goes through ``aggregates.fits``:
+    no module-level ``*_LIMIT``/``*_BYTES`` threshold exists besides
+    ``DRIVER_FINAL_BYTES`` and the bucket sizing target, and
+    ``DRIVER_FINAL_BYTES`` is read only by ``fits`` and the per-item
+    budget ``driver_share``."""
+    import ast
+    import re
+
+    thresholds, readers = [], []
+    for path, tree in _trees():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            thresholds += [f"{path}:{t.id}" for t in targets
+                           if isinstance(t, ast.Name)
+                           and re.fullmatch(r"_?[A-Z0-9_]*_(LIMIT|BYTES)", t.id)]
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name == "DRIVER_FINAL_BYTES" and isinstance(node.ctx, ast.Load):
+                readers.append(f"{path}:{_enclosing_function(node)}")
+    assert sorted(thresholds) == ["stages/aggregates.py:DRIVER_FINAL_BYTES",
+                                  "stages/aggregates.py:_TARGET_BUCKET_BYTES"]
+    assert set(readers) == {"stages/aggregates.py:fits",
+                            "stages/aggregates.py:driver_share"}
+
+
+def test_environment_read_only_for_bench_pages():
+    """The package reads ``os.environ`` for ``GRAFT_BENCH_PAGES`` alone:
+    no size guard or debug switch is set from the environment."""
+    import ast
+
+    keys = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ",
+                                                                 "getenv"):
+                use = node.parent
+                if isinstance(use, ast.Attribute):
+                    use = use.parent
+                arg = use.args[0] if isinstance(use, ast.Call) and use.args \
+                    else use.slice if isinstance(use, ast.Subscript) else None
+                keys.append(arg.value if isinstance(arg, ast.Constant)
+                            else f"{path}:{ast.unparse(use)}")
+    assert keys == ["GRAFT_BENCH_PAGES"] * 2
+
+
+def test_fits_sites_are_unique():
+    """Every ``fits`` call names its site with a string literal of its own,
+    so the decisions record and the ``force_site`` fixture tell the sites
+    apart."""
+    import ast
+    import collections
+
+    sites = collections.Counter()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "fits"
+                    or getattr(node.func, "attr", None) == "fits"):
+                arg = node.args[0] if node.args else None
+                assert isinstance(arg, ast.Constant) \
+                    and isinstance(arg.value, str), \
+                    f"{path}: {ast.unparse(node)}"
+                sites[arg.value] += 1
+    assert sites
+    assert [s for s, n in sites.items() if n > 1] == []

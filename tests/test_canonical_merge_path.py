@@ -48,7 +48,8 @@ def test_run_full_merge_path(ray_session, tmp_path):
     assert final_df["subj"].nunique() < phase1["subj"].nunique()
 
 
-def test_apply_mapping_broadcast_vs_join_equivalence(ray_session, tmp_path):
+def test_apply_mapping_broadcast_vs_join_equivalence(ray_session, tmp_path,
+                                                     force_site):
     """The guard forced both ways: broadcast rewrite and the co-partitioned
     join rewrite must produce identical triple sets on real pipeline
     triples with a real (non-identity) mapping."""
@@ -68,8 +69,8 @@ def test_apply_mapping_broadcast_vs_join_equivalence(ray_session, tmp_path):
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
     bcast = normed(C.apply_canonical_mapping(triples, mapping))
+    force_site("canonicalize.mapping", False)
     joined = normed(C.apply_canonical_mapping(triples, mapping,
-                                              broadcast_limit=0,
                                               bucket_count=4))
     pd.testing.assert_frame_equal(bcast, joined)
     # rewritten subjects actually changed
@@ -91,11 +92,12 @@ def _read_final(out: str):
 
 
 def test_run_full_mapping_dataset_native_equivalence(ray_session, tmp_path,
-                                                     monkeypatch):
-    """The label-count guard forced both ways: the driver-dict path and the
-    Dataset-native path (LOCAL_LABEL_LIMIT 0 -> edge Dataset -> distributed
-    CC -> (uri, canon) Dataset -> join rewrite, no driver dict anywhere)
-    must produce identical final triple sets and merge counts."""
+                                                     force_site):
+    """The label and mapping guards forced both ways: the driver path and
+    the Dataset-native path (kg.labels and kg.mapping False -> edge Dataset
+    -> distributed CC -> (uri, canon) Dataset -> join rewrite, no driver
+    mapping anywhere) must produce identical final triple sets and merge
+    counts."""
     import pandas as pd
 
     corpus = str(tmp_path / "corpus_native")
@@ -106,7 +108,8 @@ def test_run_full_mapping_dataset_native_equivalence(ray_session, tmp_path,
     m1 = kg.run_full(corpus, out_dict, cfg=cfg, num_shards=1,
                      partitions_per_shard=2)
     out_ds = str(tmp_path / "out_ds")
-    monkeypatch.setattr(kg, "LOCAL_LABEL_LIMIT", 0)
+    force_site("kg.labels", False)
+    force_site("kg.mapping", False)
     m2 = kg.run_full(corpus, out_ds, cfg=cfg, num_shards=1,
                      partitions_per_shard=2)
 

@@ -410,7 +410,8 @@ def test_png_all_filter_types_decode():
     assert np.array_equal(out, img)
 
 
-def test_attach_pair_payloads_join_path_matches_broadcast(ray_session, planted_docs):
+def test_attach_pair_payloads_join_path_matches_broadcast(ray_session, planted_docs,
+                                                         force_site):
     """Above the byte guard the payload attach runs as two co-partitioned
     bucket joins; the result must equal the broadcast path row-for-row."""
     import pandas as pd
@@ -424,22 +425,25 @@ def test_attach_pair_payloads_join_path_matches_broadcast(ray_session, planted_d
     cols = ["left_id", "right_id", "left_name", "right_name"]
     bc = D.attach_pair_payloads(pairs, docs, "doc_id", "text") \
         .to_pandas()[cols].sort_values(cols[:2]).reset_index(drop=True)
-    jn = D.attach_pair_payloads(pairs, docs, "doc_id", "text",
-                                broadcast_bytes=0) \
+    force_site("dedup.pair_payloads", False)
+    jn = D.attach_pair_payloads(pairs, docs, "doc_id", "text") \
         .to_pandas()[cols].sort_values(cols[:2]).reset_index(drop=True)
     pd.testing.assert_frame_equal(bc, jn)
     assert len(bc) > 0
 
 
-def test_assign_components_ds_matches_local(ray_session, planted_docs):
+def test_assign_components_ds_matches_local(ray_session, planted_docs,
+                                            force_site):
     """Dataset-native component assignment (guarded CC + anti-join identity
     fill) must equal the driver path, on both sides of the edge guard."""
     docs, ids = planted_docs
     pairs = D.minhash_dedup_pairs(docs, min_jaccard=0.6).materialize()
+    force_site("dedup.components", True)
     local = D.assign_components(pairs, all_ids=ids)
-    for limit in (D.LOCAL_CC_EDGE_LIMIT, 0):   # driver CC vs distributed CC
-        ds = D.assign_components_ds(pairs, docs, id_col="doc_id",
-                                    local_edge_limit=limit).to_pandas()
+    for driver in (True, False):   # driver CC vs distributed CC
+        force_site("dedup.components_ds", driver)
+        ds = D.assign_components_ds(pairs, docs,
+                                    id_col="doc_id").to_pandas()
         ds = ds.sort_values("id").reset_index(drop=True)
         assert dict(zip(ds["id"], ds["component"])) == \
             dict(zip(local["id"], local["component"]))
@@ -447,8 +451,10 @@ def test_assign_components_ds_matches_local(ray_session, planted_docs):
 
 def test_assign_components_ds_matches_local_exchange(ray_session,
                                                      exchange_path,
-                                                     planted_docs):
-    test_assign_components_ds_matches_local(ray_session, planted_docs)
+                                                     planted_docs,
+                                                     force_site):
+    test_assign_components_ds_matches_local(ray_session, planted_docs,
+                                            force_site)
 
 
 def test_remove_duplicate_spans_planted(ray_session):
@@ -474,7 +480,8 @@ def test_remove_duplicate_spans_planted(ray_session):
     assert out.loc[3, "clean_text"] == "tiny doc"
 
 
-def test_remove_duplicate_spans_join_path_matches_broadcast(ray_session, sf_dir):
+def test_remove_duplicate_spans_join_path_matches_broadcast(ray_session, sf_dir,
+                                                           force_site):
     """Above the byte guard the duplicated set attaches via bucket semi join
     + per-doc position collection; must equal the flat-columnar broadcast."""
     import ray.data as rd
@@ -483,7 +490,8 @@ def test_remove_duplicate_spans_join_path_matches_broadcast(ray_session, sf_dir)
                            columns=["doc_id", "text"])
     a = D.remove_duplicate_spans(docs, k=5).to_pandas() \
         .sort_values("id").reset_index(drop=True)
-    b = D.remove_duplicate_spans(docs, k=5, broadcast_bytes=0).to_pandas() \
+    force_site("dedup.span_hashes", False)
+    b = D.remove_duplicate_spans(docs, k=5).to_pandas() \
         .sort_values("id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()),
                                   check_dtype=False)

@@ -89,7 +89,7 @@ def merged_posix(corpus_dir, tmp_path_factory):
                                                       "route_shards"])
 @pytest.mark.parametrize("labels", ["local", "dataset"])
 def test_prefix_rewriting_subtree_fs(ray_session, corpus_dir, merged_posix,
-                                     tmp_path, monkeypatch, labels, route):
+                                     tmp_path, force_site, labels, route):
     """SubTreeFileSystem mock: the pipeline writes to a RELATIVE path that is
     only meaningful under the subtree root — proves no output I/O bypasses
     ``fs`` (a bare os call would land in the driver's cwd, asserted clean).
@@ -98,7 +98,7 @@ def test_prefix_rewriting_subtree_fs(ray_session, corpus_dir, merged_posix,
     is read through ``fs`` by the replicated and the shard-routed
     resolve."""
     if labels == "dataset":
-        monkeypatch.setattr(kg, "LOCAL_LABEL_LIMIT", 0)
+        force_site("kg.labels", False)
     root = str(tmp_path / "bucket")
     os.makedirs(root)
     fs = SubTreeFileSystem(root, LocalFileSystem())

@@ -46,9 +46,10 @@ class TestFusion:
             edges, triples_ds, header_filter=["population"]).to_pandas()
         assert set(long["pred"]) == {"http://x/population"}
 
-    def test_broadcast_and_join_paths_equivalent(self, ray_session, triples_ds):
-        """The scale path (bucket_join, forced via broadcast_limit=0) must
-        produce the same fused rows as the broadcast path."""
+    def test_broadcast_and_join_paths_equivalent(self, ray_session, triples_ds,
+                                                 force_site):
+        """The scale path (bucket_join, the ``fusion.edges`` site forced
+        False) must produce the same fused rows as the broadcast path."""
         edges = pd.DataFrame({
             "mention": ["alpha", "beta", "alpha2"],
             "entity_uri": ["http://x/A", "http://x/B", "http://x/A"],
@@ -59,20 +60,20 @@ class TestFusion:
             return df.sort_values(list(df.columns)).reset_index(drop=True)
 
         bcast = normed(F.fuse_edges_with_triples(edges, triples_ds))
+        b2 = normed(F.fuse_edges_with_triples(edges, triples_ds,
+                                              header_filter=["region"]))
+        force_site("fusion.edges", False)
         joined = normed(F.fuse_edges_with_triples(edges, triples_ds,
-                                                  broadcast_limit=0,
                                                   bucket_count=4))
         pd.testing.assert_frame_equal(bcast, joined)
         # header filter equivalence across paths too
-        b2 = normed(F.fuse_edges_with_triples(edges, triples_ds,
-                                              header_filter=["region"]))
         j2 = normed(F.fuse_edges_with_triples(edges, triples_ds,
                                               header_filter=["region"],
-                                              broadcast_limit=0, bucket_count=4))
+                                              bucket_count=4))
         pd.testing.assert_frame_equal(b2, j2)
         assert set(b2["pred"]) == {"http://x/region"}
 
-    def test_dataset_edges_input(self, ray_session, triples_ds):
+    def test_dataset_edges_input(self, ray_session, triples_ds, force_site):
         """Edges may arrive as a Dataset (the run_full side-output), both paths."""
         import ray.data as rd
 
@@ -82,8 +83,8 @@ class TestFusion:
         assert len(out) == 2
         edges2 = rd.from_pandas(pd.DataFrame({
             "mention": ["alpha"], "entity_uri": ["http://x/A"]}))
-        out2 = F.fuse_edges_with_triples(edges2, triples_ds,
-                                         broadcast_limit=0).to_pandas()
+        force_site("fusion.edges", False)
+        out2 = F.fuse_edges_with_triples(edges2, triples_ds).to_pandas()
         assert len(out2) == 2
 
 

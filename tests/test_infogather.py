@@ -74,15 +74,15 @@ def test_graph_edges_shared_keys(ray_session, tables_ds):
     assert not any("u4" in s or "u4" in d for s, d in key.index)
 
 
-def test_ppr_local_vs_distributed(ray_session, tables_ds):
+def test_ppr_local_vs_distributed(ray_session, tables_ds, force_site):
     import ray.data as rd
 
     edges = IG.table_graph_edges(tables_ds).materialize()
     beta = {"u1#0#1": 1.0}
     local = IG._ppr_local(edges.to_pandas(), beta, alpha=0.2, iters=10)
+    force_site("infogather.ppr_edges", False)
     dist = IG.personalized_pagerank(edges, beta, alpha=0.2, iters=10,
-                                    num_buckets=4,
-                                    driver_node_limit=0).to_pandas()
+                                    num_buckets=4).to_pandas()
     a = local.sort_values("vt_id").reset_index(drop=True)
     b = dist.sort_values("vt_id").reset_index(drop=True)
     m = a.merge(b, on="vt_id", suffixes=("_l", "_d"))
@@ -94,8 +94,8 @@ def test_ppr_local_vs_distributed(ray_session, tables_ds):
 
 
 def test_ppr_local_vs_distributed_exchange(ray_session, exchange_path,
-                                           tables_ds):
-    test_ppr_local_vs_distributed(ray_session, tables_ds)
+                                           tables_ds, force_site):
+    test_ppr_local_vs_distributed(ray_session, tables_ds, force_site)
 
 
 def test_seed_dma_and_attribute_filter(ray_session, tables_ds):

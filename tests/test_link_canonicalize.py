@@ -46,10 +46,12 @@ def test_index_build_sharded(index_dir):
     assert meta["bytes"] > 0 and sorted(meta["shards"]) == meta["shards"]
 
 
-def test_index_build_local_distributed_identical(ray_session, tmp_path):
+def test_index_build_local_distributed_identical(ray_session, tmp_path,
+                                                 force_site):
     """The driver-final build (postings under the 32 MB guard) and the
-    distributed build (guard forced to 0) must produce the same artifacts:
-    same vocab (token, df) set, same per-shard posting sets, same meta."""
+    distributed build (both index sites forced False) must produce the same
+    artifacts: same vocab (token, df) set, same per-shard posting sets,
+    same meta."""
     import os
 
     import ray.data as rd
@@ -65,8 +67,9 @@ def test_index_build_local_distributed_identical(ray_session, tmp_path):
         n_loc = IX.build_index(rd.from_arrow(blocks), d_loc, num_shards=4)
     assert passes == [{"site": "postings_from_entities_batch", "items": 3,
                        "tasks": 0 if aggregates.cpu_slots() == 1 else 3}]
-    n_dist = IX.build_index(rd.from_arrow(blocks), d_dist, num_shards=4,
-                            driver_final_bytes=0)
+    force_site("index.entities", False)
+    force_site("index.postings", False)
+    n_dist = IX.build_index(rd.from_arrow(blocks), d_dist, num_shards=4)
     assert n_loc == n_dist > 0
 
     def read_sorted(path):
@@ -99,10 +102,12 @@ def test_index_build_local_distributed_identical(ray_session, tmp_path):
 
 def test_index_build_local_distributed_identical_in_process(ray_session,
                                                             in_process,
-                                                            tmp_path):
+                                                            tmp_path,
+                                                            force_site):
     """The same with the driver build's posting map in-process on the
     driver (over 3 blocks: as tasks on the session cluster otherwise)."""
-    test_index_build_local_distributed_identical(ray_session, tmp_path)
+    test_index_build_local_distributed_identical(ray_session, tmp_path,
+                                                 force_site)
 
 
 def test_search_exact_and_fuzzy(index_dir):
@@ -359,20 +364,22 @@ class TestConnectedComponents:
         assert m["x"] == m["y"] == "x"
         assert m["p"] == m["q"] == m["r"] == m["s"] == "p"  # star/hot key
 
-    def test_distributed_matches_local(self, ray_session):
+    def test_distributed_matches_local(self, ray_session, force_site):
         import ray.data as rd
 
         local = C.connected_components_local(self.EDGES)
         a = local.sort_values("id").reset_index(drop=True)
-        # both residual paths: forced star rounds and driver finish
-        for thresh in (0, 200_000):
+        # both residual paths: forced star rounds and driver finish.  One
+        # edge per block, so the per-block contraction leaves a residual
+        blocks = [self.EDGES.iloc[i:i + 1] for i in range(len(self.EDGES))]
+        for driver in (False, True):
+            force_site("cc.residual", driver)
             dist = C.connected_components_distributed(
-                rd.from_pandas(self.EDGES), num_buckets=2,
-                driver_finish_threshold=thresh).to_pandas()
+                rd.from_pandas(blocks), num_buckets=2).to_pandas()
             b = dist.sort_values("id").reset_index(drop=True)
             pd.testing.assert_frame_equal(a, b)
 
-    def test_star_rounds_forced_multiblock(self, ray_session):
+    def test_star_rounds_forced_multiblock(self, ray_session, force_site):
         """Long chain + cliques split across blocks with the driver finish
         DISABLED — pins the distributed star rounds themselves."""
         import ray.data as rd
@@ -390,9 +397,9 @@ class TestConnectedComponents:
         ds = rd.from_pandas(
             edges.sample(frac=1.0, random_state=5).reset_index(drop=True)) \
             .repartition(16).materialize()
+        force_site("cc.residual", False)
         dist = C.connected_components_distributed(
-            ds, max_iterations=30, num_buckets=8,
-            driver_finish_threshold=0).to_pandas()
+            ds, max_iterations=30, num_buckets=8).to_pandas()
         local = C.connected_components_local(edges)
         a = local.sort_values("id").reset_index(drop=True)
         b = dist.sort_values("id").reset_index(drop=True) \
@@ -400,10 +407,10 @@ class TestConnectedComponents:
         pd.testing.assert_frame_equal(a, b)
 
     def test_distributed_above_cutoff(self, ray_session):
-        """2.05M edges (above the 2M driver-local cutoff in
-        mapping_from_edges): star/clique/chain graph, rows shuffled across 64
-        blocks so cross-block merging exercises the star rounds, bounded
-        iteration count."""
+        """2.05M edges (32.9 MB of int64 id pairs, the size of the
+        ``DRIVER_FINAL_BYTES`` guard): star/clique/chain graph, rows
+        shuffled across 64 blocks so cross-block merging exercises the star
+        rounds, bounded iteration count."""
         import ray.data as rd
 
         n_star = 410_000
@@ -605,13 +612,12 @@ def test_linker_vectorized_equals_per_row(ray_session, tmp_path):
         assert list(got[c]) == list(want[c]), c
 
 
-def test_link_mentions_broadcast_fallback_pool_equivalence(ray_session, tmp_path):
+def test_link_mentions_broadcast_fallback_pool_equivalence(ray_session, tmp_path,
+                                                           force_site):
     """The three linking paths — distinct-resolve + broadcast merge (the
     scale default), the over-limit per-worker fallback, and the LinkerActor
     pool — must produce identical edges for the same mentions, including
     unicode/huge/no-hit mentions and context-gated rows."""
-    import dataclasses
-
     import ray.data as rd
 
     from mannheimsearchjoinsengine_ray.state.index import build_index
@@ -641,8 +647,8 @@ def test_link_mentions_broadcast_fallback_pool_equivalence(ray_session, tmp_path
     cfg = PipelineConfig(refine_attrs_factor=0.3)
     a = norm(L.top1_links(L.link_mentions(ds, index_dir, cfg)).to_pandas())
     assert len(a) > 0
-    cfg0 = dataclasses.replace(cfg, link_broadcast_limit=0)
-    b = norm(L.top1_links(L.link_mentions(ds, index_dir, cfg0)).to_pandas())
+    force_site("link.broadcast", False)
+    b = norm(L.top1_links(L.link_mentions(ds, index_dir, cfg)).to_pandas())
     pool = ds.map_batches(
         L.LinkerActor,
         fn_constructor_kwargs={"index_dir": index_dir, "top_k": 5,
@@ -736,7 +742,8 @@ def _norm_edges(df):
         .reset_index(drop=True)
 
 
-def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path):
+def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path,
+                                                force_site):
     """Shard-routed resolve (scatter-gather over entity shards) must emit
     IDENTICAL edges to the replicated-index path, through both the
     broadcast merge and the co-partitioned bucket merge — including fuzzy,
@@ -752,9 +759,9 @@ def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path):
     assert len(a) > 0
     b = norm(L.link_mentions(
         ds, d, dataclasses.replace(cfg, link_shard_route=True)).to_pandas())
+    force_site("link.broadcast", False)
     c = norm(L.link_mentions(
-        ds, d, dataclasses.replace(cfg, link_shard_route=True,
-                                   link_broadcast_limit=0)).to_pandas())
+        ds, d, dataclasses.replace(cfg, link_shard_route=True)).to_pandas())
     pd.testing.assert_frame_equal(a, b)
     pd.testing.assert_frame_equal(a, c)
 
@@ -776,10 +783,12 @@ def test_link_mentions_shard_routed_equivalence(ray_session, tmp_path):
 
 def test_link_mentions_shard_routed_equivalence_exchange(ray_session,
                                                          exchange_path,
-                                                         tmp_path):
+                                                         tmp_path,
+                                                         force_site):
     """The same equivalence with the shard gather, the co-partitioned
     merge and the distinct-mentions dedupe on their sort exchanges."""
-    test_link_mentions_shard_routed_equivalence(ray_session, tmp_path)
+    test_link_mentions_shard_routed_equivalence(ray_session, tmp_path,
+                                                force_site)
 
 
 def _shard_routed_run(ds, d, cfg, monkeypatch):

@@ -90,8 +90,9 @@ def test_two_phase_agg_matches_pandas(ray_session, rng):
                                   check_dtype=False, atol=1e-9, rtol=0)
 
 
-def test_two_phase_agg_bucket_final_matches_pandas(ray_session, rng):
-    """driver_final_bytes=0 forces the above-guard path: bucket-by-key-hash
+def test_two_phase_agg_bucket_final_matches_pandas(ray_session, rng,
+                                                   force_site):
+    """The ``bucket_map`` site forced to its exchange: bucket-by-key-hash
     + per-bucket vectorized merge (the corpus-cardinality final).  Values,
     dtypes and columns must equal the driver path / plain pandas."""
     import ray.data as rd
@@ -106,8 +107,9 @@ def test_two_phase_agg_bucket_final_matches_pandas(ray_session, rng):
         "s": ("v", "sum"), "mn": ("w", "min"), "mx": ("w", "max"),
         "avg": ("v", "mean"), "n": (None, "count"),
     }
-    got = two_phase_agg(rd.from_pandas(df).repartition(6), ["g", "h"], spec,
-                        driver_final_bytes=0).to_pandas()
+    force_site("bucket_map", False)
+    got = two_phase_agg(rd.from_pandas(df).repartition(6), ["g", "h"],
+                        spec).to_pandas()
     want = df.groupby(["g", "h"]).agg(
         s=("v", "sum"), mn=("w", "min"), mx=("w", "max"),
         avg=("v", "mean"), n=("v", "size")).reset_index()
@@ -115,13 +117,14 @@ def test_two_phase_agg_bucket_final_matches_pandas(ray_session, rng):
     pd.testing.assert_frame_equal(key(got), key(want),
                                   check_dtype=False, atol=1e-9, rtol=0)
     # driver path on the same input: identical values AND dtypes
+    force_site("bucket_map", True)
     drv = two_phase_agg(rd.from_pandas(df).repartition(6),
                         ["g", "h"], spec).to_pandas()
     pd.testing.assert_frame_equal(key(got), key(drv), atol=1e-9, rtol=0)
 
 
-@pytest.mark.parametrize("driver_final_bytes", [None, 0])
-def test_two_phase_agg_string_min_max(ray_session, rng, driver_final_bytes):
+@pytest.mark.parametrize("driver", [True, False], ids=["driver", "exchange"])
+def test_two_phase_agg_string_min_max(ray_session, rng, force_site, driver):
     """min/max over a string column, on the driver finish and on the bucket
     final: nulls are skipped, an all-null group gives null, and a null key
     is a group of its own."""
@@ -141,10 +144,11 @@ def test_two_phase_agg_string_min_max(ray_session, rng, driver_final_bytes):
             lo, hi = (v, v) if lo is None else (min(lo, v), max(hi, v))
         want[k] = (lo, hi, c + 1)
     assert want["7"][:2] == (None, None) and None in want
+    force_site("bucket_map", driver)
     got = _norm(two_phase_agg(
         rd.from_pandas(df).repartition(6), ["g"],
-        {"lo": ("t", "min"), "hi": ("t", "max"), "n": (None, "count")},
-        driver_final_bytes=driver_final_bytes).to_pandas())
+        {"lo": ("t", "min"), "hi": ("t", "max"),
+         "n": (None, "count")}).to_pandas())
     assert {r.g: (r.lo, r.hi, r.n) for r in got.itertuples()} == want
     assert len(got) == len(want)
 
@@ -283,17 +287,19 @@ def test_bucket_join_auto_plan_salts_on_skew(ray_session, rng):
     explicit unsalted join."""
     import ray.data as rd
 
-    from mannheimsearchjoinsengine_ray.stages import joins
+    from mannheimsearchjoinsengine_ray.stages import aggregates, joins
 
     n = 20_000
     keys = np.where(rng.random(n) < 0.5, 7, rng.integers(0, 1000, n))
     left = pd.DataFrame({"k": keys, "payload": np.arange(n)})
     right = pd.DataFrame({"rk": np.arange(1000), "dim": np.arange(1000) * 10})
-    got = joins.bucket_join(rd.from_pandas(left), rd.from_pandas(right),
-                            left_on="k", right_on="rk",
-                            skew_threshold=1000).to_pandas()
-    assert joins.last_auto_plan["salt"] > 1
-    assert 7 in joins.last_auto_plan["hot_keys"]
+    with aggregates.record_passes() as record:
+        got = joins.bucket_join(rd.from_pandas(left), rd.from_pandas(right),
+                                left_on="k", right_on="rk",
+                                skew_threshold=1000).to_pandas()
+    [plan] = [d for d in record.decisions if d["site"] == "joins.auto_plan"]
+    assert plan["salt"] > 1
+    assert 7 in plan["hot_keys"]
     want = left.merge(right, left_on="k", right_on="rk")[["k", "payload", "dim"]]
     a = got[["k", "payload", "dim"]].sort_values(["k", "payload"]) \
         .reset_index(drop=True)
@@ -389,7 +395,7 @@ def test_bucket_join_salted_null_keys(ray_session, rng):
     on both sides), for inner and left joins."""
     import ray.data as rd
 
-    from mannheimsearchjoinsengine_ray.stages import joins
+    from mannheimsearchjoinsengine_ray.stages import aggregates, joins
 
     n = 20_000
     keys = pd.array(np.where(rng.random(n) < 0.5, 7,
@@ -403,13 +409,16 @@ def test_bucket_join_salted_null_keys(ray_session, rng):
                             right_on="rk", how=how)
             for how in ("inner", "left")}
     for how, ref in want.items():
-        got = joins.bucket_join(
-            rd.from_arrow(pa.Table.from_pandas(left)).repartition(4),
-            rd.from_arrow(pa.Table.from_pandas(right)).repartition(2),
-            left_on="k", right_on="rk", how=how,
-            skew_threshold=1000).to_pandas()
-        assert joins.last_auto_plan["salt"] > 1
-        assert 7 in joins.last_auto_plan["hot_keys"]
+        with aggregates.record_passes() as record:
+            got = joins.bucket_join(
+                rd.from_arrow(pa.Table.from_pandas(left)).repartition(4),
+                rd.from_arrow(pa.Table.from_pandas(right)).repartition(2),
+                left_on="k", right_on="rk", how=how,
+                skew_threshold=1000).to_pandas()
+        [plan] = [d for d in record.decisions
+                  if d["site"] == "joins.auto_plan"]
+        assert plan["salt"] > 1
+        assert 7 in plan["hot_keys"]
         cols = ["payload", "k", "dim"]
         a = got[cols].sort_values("payload").reset_index(drop=True)
         b = ref[cols].sort_values("payload").reset_index(drop=True)

@@ -58,20 +58,24 @@ def test_rows_only_queries_run(ray_session, sf_dir):
         assert len(out) >= 0 and len(out.columns) > 0
 
 
-def test_top_orders_per_segment_join_path_matches_broadcast(ray_session, sf_dir):
+def test_top_orders_per_segment_join_path_matches_broadcast(ray_session, sf_dir,
+                                                           force_site):
     """Guarded custkey→segment broadcast vs the above-guard bucket join."""
     from mannheimsearchjoinsengine_ray.pipelines.queries import q_top_orders_per_segment
 
     bc = _normalize(q_top_orders_per_segment(sf_dir))
-    joined = _normalize(q_top_orders_per_segment(sf_dir, broadcast_limit=0))
+    force_site("queries.segment_customers", False)
+    joined = _normalize(q_top_orders_per_segment(sf_dir))
     pd.testing.assert_frame_equal(bc, joined, check_dtype=False)
 
 
-def test_revenue_by_nation_join_path_matches_broadcast(ray_session, sf_dir):
+def test_revenue_by_nation_join_path_matches_broadcast(ray_session, sf_dir,
+                                                       force_site):
     """The guarded dimension chain: broadcast path (default) and the
     above-guard co-partitioned bucket-join path must hash-match."""
     from mannheimsearchjoinsengine_ray.pipelines.queries import q_revenue_by_nation
 
     bc = _normalize(q_revenue_by_nation(sf_dir))
-    joined = _normalize(q_revenue_by_nation(sf_dir, broadcast_limit=0))
+    force_site("queries.revenue_dimensions", False)
+    joined = _normalize(q_revenue_by_nation(sf_dir))
     pd.testing.assert_frame_equal(bc, joined, check_dtype=False)

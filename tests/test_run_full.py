@@ -60,15 +60,42 @@ def _data_files(out: str) -> dict[str, bytes]:
     return files
 
 
+# the size choices of phase 0 (index), phase 1 (link broadcast) and phase 2
+# (labels, mapping) of a merging two-shard run
+RUN_SITES = {"index.entities", "index.postings", "link.broadcast",
+             "kg.labels", "kg.mapping"}
+
+
+def _choices(decisions: list[dict]) -> dict[str, set[bool]]:
+    """Per ``RUN_SITES`` site: the set of choices the run recorded."""
+    out: dict[str, set[bool]] = {}
+    for d in decisions:
+        if d["site"] in RUN_SITES:
+            out.setdefault(d["site"], set()).add(d["choice"])
+    return out
+
+
+def _final_rows(out: str) -> pd.DataFrame:
+    from mannheimsearchjoinsengine_ray.stages.materialize import (
+        read_materialized,
+    )
+
+    df = read_materialized(os.path.join(out, "final")).to_pandas()
+    cols = ["subj", "pred", "obj", "obj_type", "source_url"]
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(corpus_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("uninterrupted"))
     m = kg.run_full(corpus_dir, out, cfg=PipelineConfig(**MERGE_CFG),
                     num_shards=2, partitions_per_shard=2)
     assert m["merged_uris"] > 0
+    # every size choice of the run keeps its data on the driver
+    assert _choices(m["decisions"]) == {s: {True} for s in RUN_SITES}
     files = _data_files(out)
     assert any(f.startswith("final") for f in files)
-    return files
+    return files, _final_rows(out)
 
 
 @pytest.mark.parametrize("manifest,when,skipped", [
@@ -94,7 +121,21 @@ def test_resume_at_every_commit(ray_session, corpus_dir, uninterrupted,
     m = kg.run_full(corpus_dir, out, cfg=cfg, num_shards=2,
                     partitions_per_shard=2)
     assert m["shards_skipped"] == skipped
-    assert _data_files(out) == uninterrupted
+    assert _data_files(out) == uninterrupted[0]
+
+
+def test_run_full_exchange_path_decisions(ray_session, corpus_dir,
+                                          uninterrupted, tmp_path,
+                                          exchange_path):
+    """With every size guard forced to its distributed side, the run's
+    decisions record each index, link-broadcast, label and mapping choice
+    as False, and ``final/`` holds the same rows as the driver-side run."""
+    out = str(tmp_path / "out")
+    m = kg.run_full(corpus_dir, out, cfg=PipelineConfig(**MERGE_CFG),
+                    num_shards=2, partitions_per_shard=2)
+    assert m["merged_uris"] > 0
+    assert _choices(m["decisions"]) == {s: {False} for s in RUN_SITES}
+    pd.testing.assert_frame_equal(_final_rows(out), uninterrupted[1])
 
 
 def test_edges_carry_entity_type(ray_session, corpus_dir, tmp_path):

@@ -118,12 +118,13 @@ def assert_same_outputs(a: str, b: str) -> None:
             assert ta.equals(tb), (shard_dir, sub)
 
 
-@pytest.mark.parametrize("broadcast_limit", [None, 0],
+@pytest.mark.parametrize("broadcast", [True, False],
                          ids=["broadcast", "copartitioned"])
 def test_fused_equals_unfused(ray_session, corpus_dir, tmp_path,
-                              monkeypatch, broadcast_limit):
-    cfg = PipelineConfig(**MERGE_CFG) if broadcast_limit is None else \
-        PipelineConfig(link_broadcast_limit=broadcast_limit, **MERGE_CFG)
+                              monkeypatch, force_site, broadcast):
+    cfg = PipelineConfig(**MERGE_CFG)
+    if not broadcast:
+        force_site("link.broadcast", False)
     ref, out = str(tmp_path / "unfused"), str(tmp_path / "fused")
     unfused_phase1(corpus_dir, ref, cfg, num_shards=2, partitions_per_shard=2)
     # phase 2 of the current runner over the port's committed shards
@@ -137,7 +138,7 @@ def test_fused_equals_unfused(ray_session, corpus_dir, tmp_path,
                     partitions_per_shard=2)
     assert m["merged_uris"] > 0
     # the co-partitioned path writes its edges from its own bucket exchange
-    assert len(joins) == (0 if broadcast_limit is None else 2)
+    assert len(joins) == (0 if broadcast else 2)
     assert_passes(m["passes"])
     assert_same_outputs(ref, out)
 
@@ -155,22 +156,27 @@ def assert_passes(passes: list[dict]) -> None:
         assert any(p["tasks"] > 1 for p in passes)
 
 
-@pytest.mark.parametrize("broadcast_limit", [None, 0],
+@pytest.mark.parametrize("broadcast", [True, False],
                          ids=["broadcast", "copartitioned"])
 def test_fused_equals_unfused_in_process(ray_session, in_process, corpus_dir,
-                                         tmp_path, monkeypatch,
-                                         broadcast_limit):
+                                         tmp_path, monkeypatch, force_site,
+                                         broadcast):
     test_fused_equals_unfused(ray_session, corpus_dir, tmp_path, monkeypatch,
-                              broadcast_limit)
+                              force_site, broadcast)
 
 
 def test_fused_equals_unfused_copartitioned_exchange(ray_session,
                                                     exchange_path, corpus_dir,
-                                                    tmp_path, monkeypatch):
+                                                    tmp_path, monkeypatch,
+                                                    force_site):
     """The co-partitioned merge, the resolve's distinct-mentions dedupe and
-    phase 2's exchanges on their sort exchanges."""
+    phase 2's exchanges on their sort exchanges.  Phase 2 keeps its driver
+    labels, CC and mapping, so its rewrite is the ``_canonical_split``
+    pass."""
+    for site in ("kg.labels", "canonicalize.mapping_edges", "kg.mapping"):
+        force_site(site, True)
     test_fused_equals_unfused(ray_session, corpus_dir, tmp_path, monkeypatch,
-                              broadcast_limit=0)
+                              force_site, broadcast=False)
 
 
 @pytest.mark.parametrize("split_rows", [None, 40], ids=["whole", "split"])
